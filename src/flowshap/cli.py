@@ -12,8 +12,10 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from . import explain, gbt, ingest, metrics, selection
-from .config import RunConfig, SELECTION_METHODS, load_config_file, write_config_file
+from .config import FIELD, SCHEMA, SELECTION_METHODS, RunConfig, load_config_file, write_config_file
 
 TRAIN_TABLE = "train_table.npz"
 TEST_TABLE = "test_table.npz"
@@ -27,6 +29,8 @@ SELECT_REPORT = "select_report.json"
 SELECTED_MODEL = "model_selected.json"
 COMPARISON = "comparison.csv"
 EFFECTIVE_CONFIG = "effective_config.ini"
+
+ADDITIVITY_TOLERANCE = 1e-6
 
 
 def _outdir(cfg: RunConfig) -> Path:
@@ -94,9 +98,7 @@ def cmd_train(cfg: RunConfig) -> metrics.EvalReport:
     """Train with inverse-frequency sample weights and report test metrics."""
     out = _outdir(cfg)
     train_t, test_t = _load_tables(out)
-    cw = ingest.class_weights(train_t.labels, len(train_t.class_names))
-    weighted = ingest.apply_sample_weights(train_t, cw)
-    ens, train_seconds = gbt.timed_train(weighted, cfg.hyperparams())
+    ens, train_seconds = gbt.train_weighted(train_t, cfg.hyperparams())
     gbt.save_model(ens, out / MODEL_FILE)
     report = metrics.timed_evaluate(ens, test_t, train_seconds=train_seconds)
     _write_json(metrics.report_to_dict(report), out / TRAIN_REPORT)
@@ -105,12 +107,19 @@ def cmd_train(cfg: RunConfig) -> metrics.EvalReport:
 
 
 def cmd_explain(cfg: RunConfig) -> explain.ShapMatrix:
-    """Attribute margins over the chosen rows; export values and rankings."""
+    """Attribute margins over the chosen rows, verify additivity, and export
+    values and rankings."""
     out = _outdir(cfg)
     ens = gbt.load_model(out / MODEL_FILE)
     train_t, test_t = _load_tables(out)
     table = test_t if cfg.explain_rows == "test" else train_t
     shap = explain.tree_shap(ens, table)
+    reconstructed = shap.base_values + shap.values.sum(axis=2)
+    error = np.abs(reconstructed - gbt.predict_margins(ens, table.features)).max(initial=0.0)
+    if not error <= ADDITIVITY_TOLERANCE:
+        raise ValueError(
+            f"attributions miss the margins by {error:.3g}, above {ADDITIVITY_TOLERANCE:g}"
+        )
     explain.write_shap_csv(shap, ens.class_names, out / SHAP_VALUES)
     explain.write_base_values_json(shap, ens.class_names, out / SHAP_BASES)
     explain.write_ranking_csv(explain.global_importance(shap), out / GLOBAL_RANKING)
@@ -142,8 +151,7 @@ def _selection_tables(cfg: RunConfig, train_t, test_t):
     """Tables the forward pass trains and scores on, per evaluation scope."""
     if cfg.evaluation_scope == "test":
         return train_t, test_t
-    sel_train, validation = ingest.stratified_split(train_t, cfg.carve_spec())
-    return sel_train, validation
+    return ingest.stratified_split(train_t, cfg.carve_spec())
 
 
 def _run_method(cfg: RunConfig, method: str, out: Path, train_t, test_t) -> selection.SelectionResult:
@@ -164,9 +172,7 @@ def _run_method(cfg: RunConfig, method: str, out: Path, train_t, test_t) -> sele
 
 def _final_model_report(cfg: RunConfig, selected, train_t, test_t):
     """Retrain on the selected subset with fresh weights; score on test."""
-    cw = ingest.class_weights(train_t.labels, len(train_t.class_names))
-    weighted = ingest.apply_sample_weights(train_t, cw)
-    ens, train_seconds = gbt.timed_train(weighted.restrict(selected), cfg.hyperparams())
+    ens, train_seconds = gbt.train_weighted(train_t.restrict(selected), cfg.hyperparams())
     report = metrics.timed_evaluate(ens, test_t.restrict(selected), train_seconds=train_seconds)
     return ens, report
 
@@ -231,29 +237,12 @@ def cmd_pipeline(cfg: RunConfig, compare: bool = False) -> None:
 
 
 def build_config(args) -> RunConfig:
-    cfg = RunConfig()
-    if args.config:
-        cfg = load_config_file(args.config, cfg)
-    overrides = {}
-    if getattr(args, "input", None):
-        overrides["input_csv"] = args.input
-    if getattr(args, "output_dir", None):
-        overrides["output_dir"] = args.output_dir
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "method", None):
-        overrides["method"] = args.method
-    if getattr(args, "k", None) is not None:
-        overrides["k_for_filters"] = args.k
-    if getattr(args, "max_candidates", None) is not None:
-        overrides["max_candidates"] = args.max_candidates
-    if getattr(args, "eval_scope", None):
-        overrides["evaluation_scope"] = args.eval_scope
-    if getattr(args, "paper_faithful", False):
-        overrides["evaluation_scope"] = "test"
-    if overrides:
-        cfg = replace(cfg, **overrides)
-    return cfg
+    """Defaults, then the config file, then every flag whose destination is a
+    RunConfig field."""
+    cfg = load_config_file(args.config) if args.config else RunConfig()
+    overrides = {field: getattr(args, field) for _, _, field, _, _ in SCHEMA
+                 if getattr(args, field, None) is not None}
+    return replace(cfg, **overrides)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -263,21 +252,23 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="INI configuration file")
-    common.add_argument("--input", help="input flow CSV")
+    common.add_argument("--input", dest=FIELD.input_csv, help="input flow CSV")
     common.add_argument("--output-dir", help="artifact directory")
     common.add_argument("--seed", type=int, help="master seed for every stage")
 
     select_opts = argparse.ArgumentParser(add_help=False)
     select_opts.add_argument("--method", choices=SELECTION_METHODS)
-    select_opts.add_argument("--k", type=int, help="feature count for filter methods")
-    select_opts.add_argument("--max-candidates", type=int, dest="max_candidates")
     select_opts.add_argument(
-        "--eval-scope", choices=("validation", "test"), dest="eval_scope",
+        "--k", type=int, dest=FIELD.k_for_filters, help="feature count for filter methods",
+    )
+    select_opts.add_argument("--max-candidates", type=int)
+    select_opts.add_argument(
+        "--eval-scope", choices=("validation", "test"), dest=FIELD.evaluation_scope,
         help="where candidate subsets are scored",
     )
     select_opts.add_argument(
-        "--paper-faithful", action="store_true", dest="paper_faithful",
-        help="score candidate subsets on the held-out test set",
+        "--paper-faithful", action="store_const", const="test", dest=FIELD.evaluation_scope,
+        help="score candidate subsets on the held-out test set (same as --eval-scope test)",
     )
     select_opts.add_argument(
         "--compare", action="store_true",

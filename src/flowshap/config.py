@@ -2,13 +2,16 @@
 
 Precedence is flags over config file over defaults. A single master seed
 drives every stage; stage seeds are derived at fixed offsets so each stage
-is independently reproducible.
+is independently reproducible. ``SCHEMA`` is the one description of the INI
+file: reading, writing and the flag overrides are all derived from it.
 """
 
 import configparser
-from dataclasses import dataclass, replace
+import csv
+from dataclasses import dataclass, fields, replace
+from types import SimpleNamespace
 
-from .gbt import Hyperparams
+from .gbt import HYPERPARAM_KEYS, Hyperparams
 from .ingest import DEFAULT_DROP_COLUMNS, DEFAULT_LABEL_COLUMN, SplitSpec
 
 SEED_OFFSET_SPLIT = 0
@@ -51,6 +54,10 @@ class RunConfig:
             raise ValueError("evaluation_scope must be 'validation' or 'test'")
         if self.explain_rows not in ("test", "train"):
             raise ValueError("explain rows must be 'test' or 'train'")
+        if self.k_for_filters < 1:
+            raise ValueError("k_for_filters must be at least 1")
+        self.split_spec()
+        self.hyperparams()
 
     def split_spec(self) -> SplitSpec:
         return SplitSpec(
@@ -67,116 +74,117 @@ class RunConfig:
         )
 
     def hyperparams(self) -> Hyperparams:
-        return Hyperparams(
-            n_estimators=self.n_estimators,
-            learning_rate=self.learning_rate,
-            max_depth=self.max_depth,
-            min_child_weight=self.min_child_weight,
-            gamma=self.gamma,
-            reg_lambda=self.reg_lambda,
-            reg_alpha=self.reg_alpha,
-            base_score=self.base_score,
-            seed=self.seed + SEED_OFFSET_TRAIN,
-        )
+        tuned = {field: getattr(self, field) for section, _, field, _, _ in SCHEMA
+                 if section == "hyperparams"}
+        return Hyperparams(**tuned, seed=self.seed + SEED_OFFSET_TRAIN)
 
 
-def _optional_int(text: str):
-    text = text.strip()
-    return int(text) if text else None
+# RunConfig field names as attributes, so a misspelt name fails at import.
+FIELD = SimpleNamespace(**{f.name: f.name for f in fields(RunConfig)})
+
+
+def _optional(parse):
+    return lambda text: parse(text) if text.strip() else None
+
+
+def _format_optional(value) -> str:
+    return "" if value is None else str(value)
+
+
+def _parse_bool(text: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.strip().lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {text!r}") from None
+
+
+def _parse_names(text: str) -> tuple:
+    cells = next(csv.reader([text], skipinitialspace=True), [])
+    return tuple(c.strip() for c in cells if c.strip())
+
+
+def _format_names(names) -> str:
+    """Comma-separated; a name holding a comma or quote is CSV-quoted."""
+    return ", ".join(
+        '"' + n.replace('"', '""') + '"' if "," in n or '"' in n else n for n in names
+    )
+
+
+# (parse, format) pairs; floats are written with their shortest round-trip repr.
+_TEXT = (str.strip, str)
+_OPTIONAL_TEXT = (_optional(str.strip), _format_optional)
+_INT = (int, str)
+_OPTIONAL_INT = (_optional(int), _format_optional)
+_FLOAT = (float, repr)
+_BOOL = (_parse_bool, lambda value: str(value).lower())
+_NAMES = (_parse_names, _format_names)
+
+
+def _entry(section, key, codec, field=None):
+    """One schema row; the RunConfig field is named after the key unless given."""
+    return (section, key, field or key, *codec)
+
+
+# (section, key, RunConfig field, parse, format), in file order. [hyperparams]
+# keys are the model document's names of the Hyperparams fields.
+SCHEMA = (
+    _entry("run", "input_csv", _OPTIONAL_TEXT),
+    _entry("run", "label_column", _TEXT),
+    _entry("run", "drop_columns", _NAMES),
+    _entry("run", "seed", _INT),
+    _entry("run", "output_dir", _TEXT),
+    _entry("split", "train_fraction", _FLOAT),
+    _entry("split", "stratified", _BOOL),
+    *(
+        _entry("hyperparams", HYPERPARAM_KEYS[f.name], _INT if f.type is int else _FLOAT, f.name)
+        for f in fields(Hyperparams) if f.name in vars(FIELD) and f.name != FIELD.seed
+    ),
+    _entry("selection", "method", _TEXT),
+    _entry("selection", "k_for_filters", _INT),
+    _entry("selection", "max_candidates", _OPTIONAL_INT),
+    _entry("selection", "patience", _OPTIONAL_INT),
+    _entry("selection", "evaluation_scope", _TEXT),
+    _entry("explain", "rows", _TEXT, FIELD.explain_rows),
+)
+
+
+def _parser() -> configparser.ConfigParser:
+    # Values are literal (no % interpolation). "" can never be a section
+    # header, so [DEFAULT] is an ordinary section here instead of a fallback.
+    return configparser.ConfigParser(interpolation=None, default_section="")
 
 
 def load_config_file(path, base: RunConfig | None = None) -> RunConfig:
-    """Layer an INI file over the given (or default) configuration."""
-    cfg = base or RunConfig()
-    parser = configparser.ConfigParser()
+    """Layer an INI file over the given (or default) configuration.
+
+    Values are taken literally; an unknown section or key is an error.
+    """
+    parser = _parser()
     with open(path, encoding="utf-8") as fh:
         parser.read_file(fh)
+    sections = {section for section, *_ in SCHEMA}
+    keys = {(section, key) for section, key, *_ in SCHEMA}
+    unknown = [f"[{s}]" for s in parser.sections() if s not in sections]
+    unknown += [f"[{s}] {k}" for s in parser.sections() if s in sections
+                for k in parser[s] if (s, k) not in keys]
+    if unknown:
+        raise ValueError(f"{path}: unknown config entries: {', '.join(unknown)}")
     updates = {}
-    if parser.has_section("run"):
-        run = parser["run"]
-        if "input_csv" in run:
-            updates["input_csv"] = run["input_csv"].strip() or None
-        if "label_column" in run:
-            updates["label_column"] = run["label_column"].strip()
-        if "drop_columns" in run:
-            raw = run["drop_columns"].strip()
-            updates["drop_columns"] = tuple(
-                c.strip() for c in raw.split(",") if c.strip()
-            ) if raw else ()
-        if "seed" in run:
-            updates["seed"] = int(run["seed"])
-        if "output_dir" in run:
-            updates["output_dir"] = run["output_dir"].strip()
-    if parser.has_section("split"):
-        split = parser["split"]
-        if "train_fraction" in split:
-            updates["train_fraction"] = float(split["train_fraction"])
-        if "stratified" in split:
-            updates["stratified"] = split.getboolean("stratified")
-    if parser.has_section("hyperparams"):
-        hp = parser["hyperparams"]
-        for key, cast, attr in (
-            ("n_estimators", int, "n_estimators"),
-            ("learning_rate", float, "learning_rate"),
-            ("max_depth", int, "max_depth"),
-            ("min_child_weight", float, "min_child_weight"),
-            ("gamma", float, "gamma"),
-            ("lambda", float, "reg_lambda"),
-            ("alpha", float, "reg_alpha"),
-            ("base_score", float, "base_score"),
-        ):
-            if key in hp:
-                updates[attr] = cast(hp[key])
-    if parser.has_section("selection"):
-        sel = parser["selection"]
-        if "method" in sel:
-            updates["method"] = sel["method"].strip()
-        if "k_for_filters" in sel:
-            updates["k_for_filters"] = int(sel["k_for_filters"])
-        if "max_candidates" in sel:
-            updates["max_candidates"] = _optional_int(sel["max_candidates"])
-        if "patience" in sel:
-            updates["patience"] = _optional_int(sel["patience"])
-        if "evaluation_scope" in sel:
-            updates["evaluation_scope"] = sel["evaluation_scope"].strip()
-    if parser.has_section("explain"):
-        exp = parser["explain"]
-        if "rows" in exp:
-            updates["explain_rows"] = exp["rows"].strip()
-    return replace(cfg, **updates)
+    for section, key, field, parse, _ in SCHEMA:
+        if parser.has_option(section, key):
+            try:
+                updates[field] = parse(parser[section][key])
+            except ValueError as exc:
+                raise ValueError(f"{path}: [{section}] {key}: {exc}") from None
+    return replace(base or RunConfig(), **updates)
 
 
 def write_config_file(cfg: RunConfig, path) -> None:
     """Echo the effective configuration; feeding it back reproduces the run."""
-    parser = configparser.ConfigParser()
-    parser["run"] = {
-        "input_csv": cfg.input_csv or "",
-        "label_column": cfg.label_column,
-        "drop_columns": ", ".join(cfg.drop_columns),
-        "seed": str(cfg.seed),
-        "output_dir": cfg.output_dir,
-    }
-    parser["split"] = {
-        "train_fraction": repr(cfg.train_fraction),
-        "stratified": str(cfg.stratified).lower(),
-    }
-    parser["hyperparams"] = {
-        "n_estimators": str(cfg.n_estimators),
-        "learning_rate": repr(cfg.learning_rate),
-        "max_depth": str(cfg.max_depth),
-        "min_child_weight": repr(cfg.min_child_weight),
-        "gamma": repr(cfg.gamma),
-        "lambda": repr(cfg.reg_lambda),
-        "alpha": repr(cfg.reg_alpha),
-        "base_score": repr(cfg.base_score),
-    }
-    parser["selection"] = {
-        "method": cfg.method,
-        "k_for_filters": str(cfg.k_for_filters),
-        "max_candidates": "" if cfg.max_candidates is None else str(cfg.max_candidates),
-        "patience": "" if cfg.patience is None else str(cfg.patience),
-        "evaluation_scope": cfg.evaluation_scope,
-    }
-    parser["explain"] = {"rows": cfg.explain_rows}
+    sections: dict[str, dict[str, str]] = {}
+    for section, key, field, _, fmt in SCHEMA:
+        sections.setdefault(section, {})[key] = fmt(getattr(cfg, field))
+    parser = _parser()
+    parser.read_dict(sections)
     with open(path, "w", encoding="utf-8") as fh:
         parser.write(fh)

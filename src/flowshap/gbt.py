@@ -14,11 +14,11 @@ deterministic for fixed inputs.
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .ingest import FlowTable
+from .ingest import FlowTable, apply_sample_weights, class_weights
 
 MODEL_FORMAT_VERSION = 1
 
@@ -51,6 +51,14 @@ class Hyperparams:
             raise ValueError("regularization terms must be nonnegative")
         if self.objective != "multiclass_softmax":
             raise ValueError(f"unsupported objective {self.objective!r}")
+
+
+# Model-document key of each Hyperparams field; the L2 and L1 terms keep
+# XGBoost's names.
+HYPERPARAM_KEYS = {
+    f.name: {"reg_lambda": "lambda", "reg_alpha": "alpha"}.get(f.name, f.name)
+    for f in fields(Hyperparams)
+}
 
 
 @dataclass
@@ -294,6 +302,14 @@ def train(train_table: FlowTable, hp: Hyperparams) -> TreeEnsemble:
     )
 
 
+def train_weighted(table: FlowTable, hp: Hyperparams):
+    """Train on ``table`` with its inverse-frequency class weights; (ensemble, seconds)."""
+    weighted = apply_sample_weights(table, class_weights(table.labels, len(table.class_names)))
+    t0 = time.perf_counter()
+    ens = train(weighted, hp)
+    return ens, time.perf_counter() - t0
+
+
 def predict_margins(ens: TreeEnsemble, X: np.ndarray) -> np.ndarray:
     """Per-class additive scores for every row of X."""
     X = np.asarray(X, dtype=np.float64)
@@ -325,34 +341,14 @@ def predict_class(ens: TreeEnsemble, x) -> int:
 
 
 def _hyperparams_to_json(hp: Hyperparams) -> dict:
-    return {
-        "n_estimators": hp.n_estimators,
-        "learning_rate": hp.learning_rate,
-        "max_depth": hp.max_depth,
-        "min_child_weight": hp.min_child_weight,
-        "gamma": hp.gamma,
-        "lambda": hp.reg_lambda,
-        "alpha": hp.reg_alpha,
-        "objective": hp.objective,
-        "base_score": hp.base_score,
-        "seed": hp.seed,
-    }
+    return {key: getattr(hp, name) for name, key in HYPERPARAM_KEYS.items()}
 
 
 def _hyperparams_from_json(doc: dict) -> Hyperparams:
     try:
-        return Hyperparams(
-            n_estimators=int(doc["n_estimators"]),
-            learning_rate=float(doc["learning_rate"]),
-            max_depth=int(doc["max_depth"]),
-            min_child_weight=float(doc["min_child_weight"]),
-            gamma=float(doc["gamma"]),
-            reg_lambda=float(doc["lambda"]),
-            reg_alpha=float(doc["alpha"]),
-            objective=str(doc["objective"]),
-            base_score=float(doc["base_score"]),
-            seed=int(doc["seed"]),
-        )
+        return Hyperparams(**{
+            f.name: f.type(doc[HYPERPARAM_KEYS[f.name]]) for f in fields(Hyperparams)
+        })
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"bad hyperparams block: {exc}") from exc
 
@@ -489,10 +485,3 @@ def save_model(ens: TreeEnsemble, path) -> None:
 def load_model(path) -> TreeEnsemble:
     with open(path, "rb") as fh:
         return deserialize(fh.read())
-
-
-def timed_train(train_table: FlowTable, hp: Hyperparams):
-    """Train and return (ensemble, wall-clock seconds)."""
-    t0 = time.perf_counter()
-    ens = train(train_table, hp)
-    return ens, time.perf_counter() - t0

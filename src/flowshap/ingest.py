@@ -8,6 +8,7 @@ produces dense float64 feature tables with per-row sample weights.
 import csv
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -99,10 +100,10 @@ class FlowTable:
         cols = [index[f] for f in feature_subset]
         return FlowTable(
             feature_names=list(feature_subset),
-            features=self.features[:, cols].copy(),
-            labels=self.labels.copy(),
+            features=self.features[:, cols],  # fancy indexing copies
+            labels=self.labels,
             class_names=list(self.class_names),
-            sample_weights=self.sample_weights.copy(),
+            sample_weights=self.sample_weights,
         )
 
     def take(self, row_indices) -> "FlowTable":
@@ -179,6 +180,20 @@ def _parse_cell(text: str):
     return v if math.isfinite(v) else None
 
 
+def _parse_column(rows, c: int):
+    """Column ``c`` as float64 values plus null and text masks, via ``_parse_cell``."""
+    n = len(rows)
+    values = np.fromiter(
+        (v if isinstance(v, float) else math.nan for v in map(_parse_cell, map(itemgetter(c), rows))),
+        dtype=np.float64, count=n,
+    )
+    missing = np.isnan(values)  # _parse_cell never yields a NaN float
+    text = np.zeros(n, dtype=bool)
+    for i in np.flatnonzero(missing):
+        text[i] = isinstance(_parse_cell(rows[i][c]), str)
+    return values, missing & ~text, text
+
+
 def preprocess(raw: RawTable, drop_columns=None, label_column: str = DEFAULT_LABEL_COLUMN) -> FlowTable:
     """Drop identifier columns, purge non-finite rows, and label-encode.
 
@@ -199,33 +214,29 @@ def preprocess(raw: RawTable, drop_columns=None, label_column: str = DEFAULT_LAB
     kept = [c for c in raw.column_names if c not in drops and c != label_column]
     kept_cols = [col_index[c] for c in kept]
     label_idx = col_index[label_column]
+    rows = raw.rows
 
-    # First pass: parse every retained cell once and find rows to remove.
-    parsed = [[_parse_cell(row[c]) for c in kept_cols] for row in raw.rows]
-    label_cells = [_parse_cell(row[label_idx]) for row in raw.rows]
-    keep_row = [
-        all(cell is not None for cell in cells) and label_cells[i] is not None
-        for i, cells in enumerate(parsed)
-    ]
-    kept_rows = [i for i, ok in enumerate(keep_row) if ok]
-    if not kept_rows:
+    # Parse each retained column once; a row survives only if no retained
+    # cell (label included) is null.
+    features = np.empty((len(rows), len(kept)), dtype=np.float64)
+    is_text = np.empty((len(rows), len(kept)), dtype=bool)
+    keep = ~_parse_column(rows, label_idx)[1]
+    for j, c in enumerate(kept_cols):
+        features[:, j], null, is_text[:, j] = _parse_column(rows, c)
+        keep &= ~null
+    kept_rows = np.flatnonzero(keep)
+    if not kept_rows.size:
         raise ValueError("empty table after preprocessing")
+    features = features[kept_rows]
 
     # A column is numeric iff no surviving cell is categorical text; text
     # columns are coded from the original stripped cell text.
-    n_feat = len(kept)
-    is_text = [any(isinstance(parsed[i][j], str) for i in kept_rows) for j in range(n_feat)]
+    for j in np.flatnonzero(is_text[kept_rows].any(axis=0)):
+        values = [rows[i][kept_cols[j]].strip() for i in kept_rows]
+        codes = {v: k for k, v in enumerate(sorted(set(values)))}
+        features[:, j] = [codes[v] for v in values]
 
-    features = np.empty((len(kept_rows), n_feat), dtype=np.float64)
-    for j in range(n_feat):
-        if is_text[j]:
-            values = [raw.rows[i][kept_cols[j]].strip() for i in kept_rows]
-            codes = {v: k for k, v in enumerate(sorted(set(values)))}
-            features[:, j] = [codes[v] for v in values]
-        else:
-            features[:, j] = [float(parsed[i][j]) for i in kept_rows]
-
-    label_values = [raw.rows[i][label_idx].strip() for i in kept_rows]
+    label_values = [rows[i][label_idx].strip() for i in kept_rows]
     class_names = sorted(set(label_values))
     encoder = {name: k for k, name in enumerate(class_names)}
     labels = np.array([encoder[v] for v in label_values], dtype=np.int64)
@@ -293,8 +304,8 @@ def apply_sample_weights(table: FlowTable, cw: ClassWeights) -> FlowTable:
         )
     return FlowTable(
         feature_names=list(table.feature_names),
-        features=table.features.copy(),
-        labels=table.labels.copy(),
+        features=table.features,
+        labels=table.labels,
         class_names=list(table.class_names),
         sample_weights=cw.weights[table.labels],
     )

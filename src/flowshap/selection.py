@@ -12,7 +12,7 @@ import numpy as np
 
 from . import gbt, metrics
 from .explain import ImportanceRanking
-from .ingest import FlowTable, SchemaError, apply_sample_weights, class_weights
+from .ingest import FlowTable, SchemaError
 
 ANOVA_SENTINEL = float(np.finfo(np.float64).max)
 
@@ -80,10 +80,9 @@ def forward_select(ranking: ImportanceRanking, train: FlowTable, eval_table: Flo
         raise SchemaError("evaluation table schema does not match training table")
 
     K = len(train.class_names)
-    weighted = apply_sample_weights(train, class_weights(train.labels, K))
 
     def evaluate(subset):
-        ens = gbt.train(weighted.restrict(subset), hp)
+        ens, _ = gbt.train_weighted(train.restrict(subset), hp)
         y_pred = gbt.predict_classes(ens, eval_table.restrict(subset).features)
         return metrics.macro_f1(eval_table.labels, y_pred, K)
 

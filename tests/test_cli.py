@@ -3,6 +3,7 @@
 import csv
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -296,3 +297,98 @@ class TestMainEntry:
         args = cli._build_parser().parse_args(["pipeline", "--paper-faithful"])
         cfg = cli.build_config(args)
         assert cfg.evaluation_scope == "test"
+
+
+class TestConfigSchema:
+    def test_percent_values_round_trip(self, tmp_path):
+        ini = tmp_path / "conf.ini"
+        cfg = RunConfig(output_dir=str(tmp_path / "out%20dir"), label_column="Stage %(x)s")
+        write_config_file(cfg, ini)
+        assert load_config_file(ini) == cfg
+
+    def test_prepare_into_percent_directory(self, tmp_path):
+        csv_path = tmp_path / "flows.csv"
+        write_flow_csv(csv_path, {"Benign": 10, "Attack": 10}, seed=3)
+        cfg = RunConfig(input_csv=str(csv_path), output_dir=str(tmp_path / "100%"))
+        cli.cmd_prepare(cfg)
+        assert load_config_file(tmp_path / "100%" / cli.EFFECTIVE_CONFIG) == cfg
+
+    def test_drop_column_names_with_commas_round_trip(self, tmp_path):
+        ini = tmp_path / "conf.ini"
+        cfg = RunConfig(drop_columns=("Flow ID", "Fwd, Bwd", 'Say "hi", twice'))
+        write_config_file(cfg, ini)
+        assert load_config_file(ini).drop_columns == cfg.drop_columns
+
+    def test_plain_drop_columns_are_written_unquoted(self, tmp_path):
+        ini = tmp_path / "conf.ini"
+        write_config_file(RunConfig(), ini)
+        assert "drop_columns = Flow ID, Src IP, Src Port, Dst IP, Dst Port, Timestamp\n" in ini.read_text()
+
+    def test_unknown_section_and_key_rejected(self, tmp_path):
+        ini = tmp_path / "conf.ini"
+        ini.write_text("[hyperparams]\nlearning_rte = 0.1\n\n[selektion]\nmethod = anova\n")
+        with pytest.raises(ValueError) as exc:
+            load_config_file(ini)
+        assert "[hyperparams] learning_rte" in str(exc.value)
+        assert "[selektion]" in str(exc.value)
+
+    def test_default_section_rejected(self, tmp_path):
+        ini = tmp_path / "conf.ini"
+        ini.write_text("[DEFAULT]\nseed = 3\n\n[run]\noutput_dir = out\n")
+        with pytest.raises(ValueError, match=r"\[DEFAULT\]"):
+            load_config_file(ini)
+
+    def test_bad_value_names_its_key(self, tmp_path):
+        ini = tmp_path / "conf.ini"
+        ini.write_text("[split]\nstratified = maybe\n")
+        with pytest.raises(ValueError, match=r"\[split\] stratified"):
+            load_config_file(ini)
+
+    @pytest.mark.parametrize("bad", [
+        {"max_depth": 0}, {"train_fraction": 1.5}, {"k_for_filters": 0}, {"learning_rate": 0.0},
+    ])
+    def test_invalid_values_fail_at_construction(self, bad):
+        with pytest.raises(ValueError):
+            RunConfig(**bad)
+
+    def test_pipeline_with_invalid_config_writes_nothing(self, tmp_path, capsys):
+        csv_path = tmp_path / "flows.csv"
+        write_flow_csv(csv_path, {"Benign": 10, "Attack": 10}, seed=3)
+        out = tmp_path / "out"
+        ini = tmp_path / "conf.ini"
+        ini.write_text(
+            f"[run]\ninput_csv = {csv_path}\noutput_dir = {out}\n\n[hyperparams]\nmax_depth = 0\n"
+        )
+        rc = cli.main(["pipeline", "--config", str(ini)])
+        assert rc == 1
+        err = capsys.readouterr().err.strip()
+        assert "\n" not in err
+        assert "max_depth" in json.loads(err)["message"]
+        assert not (out / cli.TRAIN_TABLE).exists()
+
+    def test_flags_cover_their_fields(self, tmp_path):
+        args = cli._build_parser().parse_args([
+            "select", "--input", "in.csv", "--k", "3", "--eval-scope", "test",
+            "--max-candidates", "4", "--output-dir", str(tmp_path),
+        ])
+        cfg = cli.build_config(args)
+        assert (cfg.input_csv, cfg.k_for_filters, cfg.evaluation_scope, cfg.max_candidates) == (
+            "in.csv", 3, "test", 4)
+        assert cfg.output_dir == str(tmp_path)
+
+
+class TestExplainAdditivity:
+    def test_perturbed_attributions_are_rejected(self, prepared, monkeypatch):
+        cfg, _, _ = prepared
+        cli.cmd_train(cfg)
+        exact = fs.explain.tree_shap
+
+        def perturbed(ens, table):
+            shap = exact(ens, table)
+            shap.values[0, 0, 0] += 1e-3
+            return shap
+
+        monkeypatch.setattr(fs.explain, "tree_shap", perturbed)
+        with pytest.raises(ValueError, match="attributions miss the margins"):
+            cli.cmd_explain(cfg)
+        assert not (Path(cfg.output_dir) / cli.SHAP_VALUES).exists()

@@ -118,6 +118,48 @@ class TestPreprocess:
         assert (table.sample_weights == 1.0).all()
 
 
+def _row_wise_preprocess(raw, label_column):
+    """The cleaning rule cell by cell, row by row: the reference for ``preprocess``."""
+    parse = fs.ingest._parse_cell
+    kept = [c for c in raw.column_names if c != label_column]
+    cols = [raw.column_names.index(c) for c in kept]
+    label = raw.column_names.index(label_column)
+    rows = [r for r in raw.rows if all(parse(r[i]) is not None for i in cols + [label])]
+    columns = []
+    for i in cols:
+        cells = [r[i].strip() for r in rows]
+        if any(isinstance(parse(c), str) for c in cells):
+            codes = {v: k for k, v in enumerate(sorted(set(cells)))}
+            columns.append([float(codes[c]) for c in cells])
+        else:
+            columns.append([parse(c) for c in cells])
+    return kept, np.array(columns).T.reshape(len(rows), len(kept)), [r[label].strip() for r in rows]
+
+
+class TestPreprocessMatchesRowWiseRule:
+    CELLS = ["1", " 2.5 ", "-0", "1e3", "10", "9", "x", " y ", "TCP", "", " ", "NaN",
+             "inf", "-Infinity", "1e400", "\x1c1"]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_mixed_table(self, seed):
+        rng = np.random.default_rng(seed)
+        # Column 0 is numeric, column 1 has text only where another cell is null,
+        # the others draw from every kind of cell.
+        rows = []
+        for _ in range(300):
+            row = [rng.choice(self.CELLS[:6]), "t" if rng.random() < 0.1 else "3"]
+            row += [str(rng.choice(self.CELLS)) for _ in range(3)]
+            row.append(str(rng.choice(["b", " a", "c", "NaN", "1"])))
+            if row[1] == "t":
+                row[0] = ""
+            rows.append([str(c) for c in row])
+        raw = fs.RawTable(column_names=["n", "late_text", "m1", "m2", "m3", "Stage"], rows=rows)
+        names, features, label_text = _row_wise_preprocess(raw, "Stage")
+        table = fs.preprocess(raw, drop_columns=set(), label_column="Stage")
+        assert table.feature_names == names
+        assert table.features.tobytes() == features.tobytes()
+        assert [table.class_names[k] for k in table.labels] == label_text
+
 class TestSaveLoadTable:
     def test_lossless_round_trip(self, tmp_path):
         rng = np.random.default_rng(5)
