@@ -106,13 +106,16 @@ def cmd_train(cfg: RunConfig) -> metrics.EvalReport:
     return report
 
 
+def _explained_rows(cfg: RunConfig, train_t, test_t):
+    return test_t if cfg.explain_rows == "test" else train_t
+
+
 def cmd_explain(cfg: RunConfig) -> explain.ShapMatrix:
     """Attribute margins over the chosen rows, verify additivity, and export
     values and rankings."""
     out = _outdir(cfg)
     ens = gbt.load_model(out / MODEL_FILE)
-    train_t, test_t = _load_tables(out)
-    table = test_t if cfg.explain_rows == "test" else train_t
+    table = _explained_rows(cfg, *_load_tables(out))
     shap = explain.tree_shap(ens, table)
     reconstructed = shap.base_values + shap.values.sum(axis=2)
     error = np.abs(reconstructed - gbt.predict_margins(ens, table.features)).max(initial=0.0)
@@ -143,8 +146,7 @@ def _shap_ranking(cfg: RunConfig, out: Path, train_t, test_t) -> explain.Importa
     if path.exists():
         return read_ranking_csv(path)
     ens = gbt.load_model(out / MODEL_FILE)
-    table = test_t if cfg.explain_rows == "test" else train_t
-    return explain.global_importance(explain.tree_shap(ens, table))
+    return explain.global_importance(explain.tree_shap(ens, _explained_rows(cfg, train_t, test_t)))
 
 
 def _selection_tables(cfg: RunConfig, train_t, test_t):
@@ -221,8 +223,20 @@ def _stage_done(out: Path, files) -> bool:
 
 
 def cmd_pipeline(cfg: RunConfig, compare: bool = False) -> None:
-    """Run every stage in order, skipping stages whose outputs already exist."""
+    """Run every stage in order, skipping stages whose outputs already exist.
+
+    Refuses a directory whose recorded configuration differs from this run's
+    in anything but the output directory, since its artifacts are stale.
+    """
     out = _outdir(cfg)
+    recorded = out / EFFECTIVE_CONFIG
+    if recorded.exists():
+        before = load_config_file(recorded)
+        changed = [field for _, _, field, _, _ in SCHEMA
+                   if field != FIELD.output_dir and getattr(before, field) != getattr(cfg, field)]
+        if changed:
+            raise ValueError(f"{recorded} records a run with different {', '.join(changed)}; "
+                             "use a fresh output directory")
     if not _stage_done(out, [TRAIN_TABLE, TEST_TABLE, PREPARE_REPORT]):
         cmd_prepare(cfg)
     if not _stage_done(out, [MODEL_FILE, TRAIN_REPORT]):

@@ -1,12 +1,16 @@
 """Exact Shapley attributions of per-class ensemble margins.
 
-Two independent routes compute the same quantity. ``tree_shap`` runs the
-polynomial-time path recursion that tracks, for each unique feature on the
-path to a leaf, the proportion of feature subsets flowing down ("one
-fraction" when the feature is conditioned and matches the sample, "zero
-fraction" via cover-weighted averaging when it is not). ``brute_force_shapley``
-enumerates all feature subsets of the classic attribution formula; it exists
-purely as an oracle for the fast path and refuses more than 20 features.
+Two independent routes compute the same quantity. ``tree_shap`` splits each
+tree once into root-to-leaf paths (the path formulation of GPUTreeShap). On a
+path, unique feature i has a zero fraction z_i (the cover share of the leaf's
+branch at its splits) and a one fraction o_i (1 iff the sample meets all of
+its conditions); a subset S then gets value * prod_{i in S} o_i * prod_{i not
+in S} z_i, a product game with closed-form Shapley values. Paths are padded to
+one length with null players, so all leaves of a tree and a block of rows are
+computed in one set of array operations.
+``brute_force_shapley`` enumerates all feature subsets of the classic
+attribution formula; it exists purely as an oracle for the fast path and
+refuses more than 20 features.
 
 Both routes share the same value function: a feature subset S evaluates a
 tree by following the sample's branch for conditioned features and averaging
@@ -132,97 +136,71 @@ def brute_force_shapley(ens: TreeEnsemble, x, class_k: int):
     return phi, phi0
 
 
-def _extend(feats, zeros, ones, pweights, pz, po, pi):
-    depth = len(feats)
-    feats.append(pi)
-    zeros.append(pz)
-    ones.append(po)
-    pweights.append(1.0 if depth == 0 else 0.0)
-    for i in range(depth - 1, -1, -1):
-        pweights[i + 1] += po * pweights[i] * (i + 1) / (depth + 1)
-        pweights[i] = pz * pweights[i] * (depth - i) / (depth + 1)
+# Row blocks are sized so that rows x leaves x path length stays below this
+# many elements; it bounds each temporary of the path game to a few MB.
+BLOCK_ELEMENTS = 1 << 18
 
 
-def _unwind(feats, zeros, ones, pweights, path_index):
-    depth = len(feats) - 1
-    one = ones[path_index]
-    zero = zeros[path_index]
-    carry = pweights[depth]
-    for i in range(depth - 1, -1, -1):
-        if one != 0.0:
-            tmp = pweights[i]
-            pweights[i] = carry * (depth + 1) / ((i + 1) * one)
-            carry = tmp - pweights[i] * zero * (depth - i) / (depth + 1)
-        else:
-            pweights[i] = pweights[i] * (depth + 1) / (zero * (depth - i))
-    for i in range(path_index, depth):
-        feats[i] = feats[i + 1]
-        zeros[i] = zeros[i + 1]
-        ones[i] = ones[i + 1]
-    feats.pop()
-    zeros.pop()
-    ones.pop()
-    pweights.pop()
+def _leaf_paths(tree: Tree):
+    """Every leaf's value and, per unique feature on its path, the feature
+    index, the interval [lo, hi) its conditions admit, and its zero fraction
+    (the product of child-cover / parent-cover ratios at its splits).
+
+    Arrays are (leaves, D) with D the longest path's unique-feature count;
+    shorter paths are padded with null players (interval (-inf, inf), z = 1).
+    """
+    leaves = []
+    stack = [(0, {})]
+    while stack:
+        node, conds = stack.pop()
+        f = int(tree.feature[node])
+        if f < 0:
+            leaves.append((float(tree.value[node]), conds))
+            continue
+        total = float(tree.cover[node])
+        if total == 0.0:
+            raise ValueError("zero cover at an averaged node")
+        lo, hi, z = conds.get(f, (-np.inf, np.inf, 1.0))
+        thr = float(tree.threshold[node])
+        l, r = int(tree.left[node]), int(tree.right[node])
+        stack.append((r, {**conds, f: (max(lo, thr), hi, z * (float(tree.cover[r]) / total))}))
+        stack.append((l, {**conds, f: (lo, min(hi, thr), z * (float(tree.cover[l]) / total))}))
+    D = max(1, *(len(conds) for _, conds in leaves))
+    feat = np.zeros((len(leaves), D), dtype=np.int64)
+    lo = np.full((len(leaves), D), -np.inf)
+    hi = np.full((len(leaves), D), np.inf)
+    z = np.ones((len(leaves), D))
+    for i, (_, conds) in enumerate(leaves):
+        for d, (f, bounds) in enumerate(conds.items()):
+            feat[i, d] = f
+            lo[i, d], hi[i, d], z[i, d] = bounds
+    return np.array([v for v, _ in leaves]), feat, lo, hi, z
 
 
-def _unwound_sum(feats, zeros, ones, pweights, path_index):
-    depth = len(feats) - 1
-    one = ones[path_index]
-    zero = zeros[path_index]
-    carry = pweights[depth]
-    total = 0.0
-    for i in range(depth - 1, -1, -1):
-        if one != 0.0:
-            tmp = carry * (depth + 1) / ((i + 1) * one)
-            total += tmp
-            carry = pweights[i] - tmp * zero * (depth - i) / (depth + 1)
-        else:
-            total += pweights[i] / zero * (depth + 1) / (depth - i)
-    return total
-
-
-def _shap_recurse(tree, x, phi, node, feats, zeros, ones, pweights, pz, po, pi):
-    feats = feats.copy()
-    zeros = zeros.copy()
-    ones = ones.copy()
-    pweights = pweights.copy()
-    _extend(feats, zeros, ones, pweights, pz, po, pi)
-
-    if tree.feature[node] < 0:
-        leaf = float(tree.value[node])
-        for i in range(1, len(feats)):
-            w = _unwound_sum(feats, zeros, ones, pweights, i)
-            phi[feats[i]] += w * (ones[i] - zeros[i]) * leaf
-        return
-
-    f = int(tree.feature[node])
-    l, r = int(tree.left[node]), int(tree.right[node])
-    hot, cold = (l, r) if x[f] < tree.threshold[node] else (r, l)
-    total = float(tree.cover[node])
-    if total == 0.0:
-        raise ValueError("zero cover at an averaged node")
-    hot_zero = float(tree.cover[hot]) / total
-    cold_zero = float(tree.cover[cold]) / total
-
-    # A feature already on the path is unwound and re-extended so its one and
-    # zero fractions multiply instead of double-counting.
-    incoming_zero = 1.0
-    incoming_one = 1.0
-    for k in range(1, len(feats)):
-        if feats[k] == f:
-            incoming_zero = zeros[k]
-            incoming_one = ones[k]
-            _unwind(feats, zeros, ones, pweights, k)
-            break
-
-    _shap_recurse(tree, x, phi, hot, feats, zeros, ones, pweights,
-                  hot_zero * incoming_zero, incoming_one, f)
-    _shap_recurse(tree, x, phi, cold, feats, zeros, ones, pweights,
-                  cold_zero * incoming_zero, 0.0, f)
-
-
-def _tree_shap_single(tree: Tree, x: np.ndarray, phi: np.ndarray) -> None:
-    _shap_recurse(tree, x, phi, 0, [], [], [], [], 1.0, 1.0, -1)
+def _path_phi(X, feat, lo, hi, z) -> np.ndarray:
+    """Shapley value of every path feature in each leaf's product game, before
+    scaling by the leaf value: (o_i - z_i) * sum_k k!(D-k-1)!/D! * c_k, with c_k
+    the t^k coefficient of prod_{j != i} (o_j t + z_j). Returns (rows, leaves, D)."""
+    x = X[:, feat]
+    one = (lo <= x) & (x < hi)
+    D = feat.shape[1]
+    weights = np.array([math.factorial(k) * math.factorial(D - k - 1) / math.factorial(D)
+                        for k in range(D)])
+    poly = np.zeros(one.shape[:2] + (D + 1,))
+    poly[..., 0] = 1.0
+    for j in range(D):
+        poly[..., 1:] = poly[..., 1:] * z[:, j, None] + poly[..., :-1] * one[..., j, None]
+        poly[..., 0] *= z[:, j]
+    # o_i = 0: the product carries the factor z_i, which (o_i - z_i) = -z_i
+    # multiplies back, so no division is needed.
+    absent = -(poly[..., :D] @ weights)
+    # o_i = 1: divide the product by (t + z_i), top coefficient first.
+    q = np.broadcast_to(poly[..., D:], one.shape)
+    total = weights[D - 1] * q
+    for k in range(D - 1, 0, -1):
+        q = poly[..., k, None] - z * q
+        total += weights[k - 1] * q
+    return np.where(one, (1.0 - z) * total, absent[..., None])
 
 
 def _root_expectation(tree: Tree) -> float:
@@ -239,13 +217,18 @@ def tree_shap(ens: TreeEnsemble, table: FlowTable) -> ShapMatrix:
     M = len(ens.feature_names)
     values = np.zeros((n, K, M), dtype=np.float64)
     base = np.full(K, ens.base_score, dtype=np.float64)
-    for t_idx, tree in enumerate(ens.trees):
-        base[t_idx % K] += _root_expectation(tree)
     X = table.features
-    for s in range(n):
-        x = X[s]
-        for t_idx, tree in enumerate(ens.trees):
-            _tree_shap_single(tree, x, values[s, t_idx % K])
+    for t_idx, tree in enumerate(ens.trees):
+        leaf_value, feat, lo, hi, z = _leaf_paths(tree)
+        base[t_idx % K] += leaf_value @ z.prod(axis=1)
+        L, D = feat.shape
+        # Scales each (leaf, path slot) attribution and sums it into its feature.
+        scatter = np.zeros((L * D, M))
+        scatter[np.arange(L * D), feat.ravel()] = np.repeat(leaf_value, D)
+        step = max(1, BLOCK_ELEMENTS // (L * D))
+        for start in range(0, n, step):
+            phi = _path_phi(X[start:start + step], feat, lo, hi, z)
+            values[start:start + step, t_idx % K] += phi.reshape(phi.shape[0], -1) @ scatter
     return ShapMatrix(values=values, base_values=base, feature_names=list(ens.feature_names))
 
 

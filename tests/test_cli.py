@@ -241,6 +241,27 @@ class TestPipeline:
         assert os.path.exists(f"{out}/{cli.SELECT_REPORT}")
 
 
+    def test_resume_under_another_seed_is_refused(self, tmp_path, capsys):
+        csv_path = tmp_path / "flows.csv"
+        write_flow_csv(csv_path, {"Benign": 40, "Recon": 20}, seed=2)
+        config = tmp_path / "run.ini"
+        config.write_text(
+            f"[run]\ninput_csv = {csv_path}\noutput_dir = {tmp_path / 'out'}\n"
+            "[hyperparams]\nn_estimators = 2\nmax_depth = 2\n"
+            "[selection]\nmax_candidates = 3\n",
+            encoding="utf-8",
+        )
+        assert cli.main(["pipeline", "--config", str(config), "--seed", "1"]) == 0
+        recorded = tmp_path / "out" / cli.EFFECTIVE_CONFIG
+        before = recorded.read_bytes()
+        capsys.readouterr()
+        assert cli.main(["pipeline", "--config", str(config), "--seed", "2"]) == 1
+        doc = json.loads(capsys.readouterr().err)
+        assert "seed" in doc["message"]
+        assert recorded.read_bytes() == before
+        assert cli.main(["pipeline", "--config", str(config), "--seed", "1"]) == 0
+
+
 class TestConfigFile:
     def test_round_trip_reproduces_run(self, prepared, tmp_path):
         cfg, _, _ = prepared

@@ -113,6 +113,42 @@ class TestBruteForce:
             fs.brute_force_shapley(ens, np.zeros(21), 0)
 
 
+def zero_cover_tree():
+    return Tree(
+        feature=np.array([0, -1, -1], dtype=np.int32),
+        threshold=np.array([0.5, 0.0, 0.0]),
+        left=np.array([1, -1, -1], dtype=np.int32),
+        right=np.array([2, -1, -1], dtype=np.int32),
+        value=np.array([0.0, 1.0, 3.0]),
+        cover=np.array([0.0, 0.0, 0.0]),
+    )
+
+
+def unique_path_features(tree):
+    """Unique-feature count of every root-to-leaf path."""
+    counts = []
+    stack = [(0, frozenset())]
+    while stack:
+        i, seen = stack.pop()
+        if tree.feature[i] < 0:
+            counts.append(len(seen))
+            continue
+        seen = seen | {int(tree.feature[i])}
+        stack.append((int(tree.left[i]), seen))
+        stack.append((int(tree.right[i]), seen))
+    return counts
+
+
+def assert_matches_oracle(ens, table, rows):
+    shap = fs.tree_shap(ens, table)
+    for s in rows:
+        for k in range(ens.n_classes):
+            phi, phi0 = fs.brute_force_shapley(ens, table.features[s], k)
+            assert np.abs(shap.values[s, k] - phi).max() <= 1e-8
+            assert abs(shap.base_values[k] - phi0) <= 1e-8
+    return shap
+
+
 class TestTreeShap:
     def test_zero_tree_ensemble(self):
         table = random_multiclass_table(n=8, m=3, K=3, seed=2)
@@ -163,6 +199,45 @@ class TestTreeShap:
                 phi, phi0 = fs.brute_force_shapley(ens, table.features[s], k)
                 assert np.abs(shap.values[s, k] - phi).max() <= 1e-8
                 assert abs(shap.base_values[k] - phi0) <= 1e-8
+
+    def test_matches_brute_force_at_depth_six(self):
+        # the paper's depth: leaves carry 4-6 unique path features, and paths
+        # of unequal length are padded within one tree
+        rng = np.random.default_rng(21)
+        table = make_table(rng.normal(size=(300, 8)), rng.integers(0, 2, size=300), n_classes=2)
+        ens = fs.train(table, fs.Hyperparams(n_estimators=2, max_depth=6, min_child_weight=0.0))
+        counts = [unique_path_features(tree) for tree in ens.trees]
+        assert max(max(c) for c in counts) >= 4
+        assert any(min(c) < max(c) for c in counts)
+        assert_matches_oracle(ens, table, range(3))
+
+    def test_rows_on_split_thresholds(self):
+        # every cell sits exactly on a threshold its feature is split at, so
+        # each split sees x == threshold and must route right
+        table = random_multiclass_table(n=120, m=4, K=3, seed=5)
+        ens = fs.train(table, fs.Hyperparams(n_estimators=2, max_depth=4))
+        cuts = {f: sorted({float(t.threshold[i]) for t in ens.trees
+                           for i in np.nonzero(t.feature == f)[0]}) for f in range(4)}
+        assert all(cuts.values())
+        rng = np.random.default_rng(0)
+        X = np.array([[rng.choice(cuts[f]) for f in range(4)] for _ in range(8)])
+        on_cuts = make_table(X, np.arange(8) % 3, n_classes=3)
+        shap = assert_matches_oracle(ens, on_cuts, range(8))
+        margins = fs.predict_margins(ens, on_cuts.features)
+        recon = shap.base_values[None, :] + shap.values.sum(axis=2)
+        assert np.abs(recon - margins).max() <= 1e-6
+
+    def test_zero_cover_rejected(self):
+        ens = TreeEnsemble(
+            trees=[zero_cover_tree(), leaf_tree(0.0)],
+            n_classes=2,
+            base_score=0.5,
+            feature_names=["f0"],
+            class_names=["c0", "c1"],
+            hyperparams=fs.Hyperparams(n_estimators=1),
+        )
+        with pytest.raises(ValueError, match="zero cover"):
+            fs.tree_shap(ens, make_table(np.zeros((2, 1)), [0, 1]))
 
     def test_linearity_over_rounds(self):
         table = random_multiclass_table(n=50, m=4, K=2, seed=9)
