@@ -32,10 +32,25 @@ EFFECTIVE_CONFIG = "effective_config.ini"
 
 ADDITIVITY_TOLERANCE = 1e-6
 
+# Config fields a directory's artifacts depend on: prepare reads the [run] and
+# [split] keys, and a resumed pipeline reuses the output of every stage.
+PREPARE_FIELDS = [field for section, _, field, _, _ in SCHEMA
+                  if section in ("run", "split") and field != FIELD.output_dir]
+PIPELINE_FIELDS = [field for _, _, field, _, _ in SCHEMA if field != FIELD.output_dir]
 
-def _outdir(cfg: RunConfig) -> Path:
+
+def _outdir(cfg: RunConfig, fields=()) -> Path:
+    """The output directory, refused when its recorded configuration differs
+    from this run's in any of ``fields``, since its artifacts are stale."""
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
+    recorded = out / EFFECTIVE_CONFIG
+    if fields and recorded.exists():
+        before = load_config_file(recorded)
+        changed = [field for field in fields if getattr(before, field) != getattr(cfg, field)]
+        if changed:
+            raise ValueError(f"{recorded} records a run with different {', '.join(changed)}; "
+                             "use a fresh output directory")
     return out
 
 
@@ -96,7 +111,7 @@ def _load_tables(out: Path):
 
 def cmd_train(cfg: RunConfig) -> metrics.EvalReport:
     """Train with inverse-frequency sample weights and report test metrics."""
-    out = _outdir(cfg)
+    out = _outdir(cfg, PREPARE_FIELDS)
     train_t, test_t = _load_tables(out)
     ens, train_seconds = gbt.train_weighted(train_t, cfg.hyperparams())
     gbt.save_model(ens, out / MODEL_FILE)
@@ -113,7 +128,7 @@ def _explained_rows(cfg: RunConfig, train_t, test_t):
 def cmd_explain(cfg: RunConfig) -> explain.ShapMatrix:
     """Attribute margins over the chosen rows, verify additivity, and export
     values and rankings."""
-    out = _outdir(cfg)
+    out = _outdir(cfg, PREPARE_FIELDS)
     ens = gbt.load_model(out / MODEL_FILE)
     table = _explained_rows(cfg, *_load_tables(out))
     shap = explain.tree_shap(ens, table)
@@ -181,7 +196,7 @@ def _final_model_report(cfg: RunConfig, selected, train_t, test_t):
 
 def cmd_select(cfg: RunConfig, compare: bool = False) -> dict:
     """Select features, retrain the reduced model, and report test metrics."""
-    out = _outdir(cfg)
+    out = _outdir(cfg, PREPARE_FIELDS)
     train_t, test_t = _load_tables(out)
 
     methods = list(SELECTION_METHODS) if compare else [cfg.method]
@@ -228,15 +243,7 @@ def cmd_pipeline(cfg: RunConfig, compare: bool = False) -> None:
     Refuses a directory whose recorded configuration differs from this run's
     in anything but the output directory, since its artifacts are stale.
     """
-    out = _outdir(cfg)
-    recorded = out / EFFECTIVE_CONFIG
-    if recorded.exists():
-        before = load_config_file(recorded)
-        changed = [field for _, _, field, _, _ in SCHEMA
-                   if field != FIELD.output_dir and getattr(before, field) != getattr(cfg, field)]
-        if changed:
-            raise ValueError(f"{recorded} records a run with different {', '.join(changed)}; "
-                             "use a fresh output directory")
+    out = _outdir(cfg, PIPELINE_FIELDS)
     if not _stage_done(out, [TRAIN_TABLE, TEST_TABLE, PREPARE_REPORT]):
         cmd_prepare(cfg)
     if not _stage_done(out, [MODEL_FILE, TRAIN_REPORT]):

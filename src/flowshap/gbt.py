@@ -6,9 +6,12 @@ distinct sorted feature values is scored with the second-order gain
     gain = 1/2 * [ T(GL)^2/(HL+lambda) + T(GR)^2/(HR+lambda)
                    - T(GL+GR)^2/(HL+HR+lambda) ] - gamma
 
-where T is the L1 soft-threshold applied when alpha > 0. Leaf values are
--T(G)/(H+lambda) scaled by the learning rate. Training is fully
-deterministic for fixed inputs.
+where T is the L1 soft-threshold applied when alpha > 0. A node scores its
+features in blocks of SPLIT_BLOCK_ELEMENTS // rows columns, with one stable
+sort and one cumulative sum per statistic for the whole block; the first
+maximum in feature-major order wins, so ties go to the lower feature index,
+then the lower threshold. Leaf values are -T(G)/(H+lambda) scaled by the
+learning rate. Training is fully deterministic for fixed inputs.
 """
 
 import json
@@ -21,6 +24,9 @@ import numpy as np
 from .ingest import FlowTable, apply_sample_weights, class_weights
 
 MODEL_FORMAT_VERSION = 1
+
+# Element budget (rows x features) of one block of split search temporaries.
+SPLIT_BLOCK_ELEMENTS = 2**14
 
 
 class ModelFormatError(ValueError):
@@ -100,6 +106,12 @@ class Tree:
         return self.value[node]
 
 
+def _tree_from_records(records) -> Tree:
+    """Tree from [feature, threshold, left, right, value, cover] node records."""
+    dtypes = (np.int32, np.float64, np.int32, np.int32, np.float64, np.float64)
+    return Tree(*(np.array(column, dtype=t) for column, t in zip(zip(*records), dtypes)))
+
+
 @dataclass
 class TreeEnsemble:
     """Boosted trees ordered round-major, class-minor (round r, class k -> r*K + k)."""
@@ -171,45 +183,40 @@ def split_gain(GL: float, HL: float, GR: float, HR: float, hp: Hyperparams) -> f
     )
 
 
-def _best_split(X, rows, g, h, hp: Hyperparams):
-    """Exact greedy search over all features and distinct-value boundaries.
+def _best_split(X, rows, g, h, G, H, hp: Hyperparams):
+    """Exact greedy search over all features and distinct-value boundaries of
+    the rows, whose gradient and hessian sums are G and H.
 
     Returns (feature_index, threshold, gain) or None. Ties go to the lower
     feature index, then the lower threshold.
     """
-    gr = g[rows]
-    hr = h[rows]
-    G = float(gr.sum())
-    H = float(hr.sum())
+    if rows.size < 2:
+        return None
+    gr, hr = g[rows], h[rows]
     parent = _gain_terms(G, H, hp)
+    width = max(1, SPLIT_BLOCK_ELEMENTS // rows.size)
     best = None
-    for f in range(X.shape[1]):
-        v = X[rows, f]
-        order = np.argsort(v, kind="stable")
-        sv = v[order]
-        if sv[0] == sv[-1]:
-            continue
-        GL = np.cumsum(gr[order])
-        HL = np.cumsum(hr[order])
-        cuts = np.nonzero(sv[:-1] < sv[1:])[0]
-        GLc, HLc = GL[cuts], HL[cuts]
-        GRc, HRc = G - GLc, H - HLc
+    for start in range(0, X.shape[1], width):
+        v = X[rows, start : start + width]
+        order = np.argsort(v, axis=0, kind="stable")
+        sv = np.take_along_axis(v, order, axis=0)
+        GL = np.cumsum(gr[order], axis=0)[:-1]
+        HL = np.cumsum(hr[order], axis=0)[:-1]
+        GR, HR = G - GL, H - HL
         gains = (
-            0.5 * (_gain_terms(GLc, HLc, hp) + _gain_terms(GRc, HRc, hp) - parent)
+            0.5 * (_gain_terms(GL, HL, hp) + _gain_terms(GR, HR, hp) - parent)
             - hp.gamma
         )
-        ok = (HLc >= hp.min_child_weight) & (HRc >= hp.min_child_weight)
-        gains = np.where(ok, gains, -np.inf)
-        i = int(np.argmax(gains))  # first maximum = lowest threshold
-        gain = float(gains[i])
-        if gain <= 0.0:
-            continue
-        if best is None or gain > best[2]:
-            lo, hi = sv[cuts[i]], sv[cuts[i] + 1]
+        ok = (sv[:-1] < sv[1:]) & (HL >= hp.min_child_weight) & (HR >= hp.min_child_weight)
+        gains = np.where(ok, gains, -np.inf).T  # feature-major: first maximum wins ties
+        f, i = np.unravel_index(np.argmax(gains), gains.shape)
+        gain = float(gains[f, i])
+        if gain > 0.0 and (best is None or gain > best[2]):
+            lo, hi = sv[i, f], sv[i + 1, f]
             thr = (lo + hi) / 2.0
             if thr <= lo:  # adjacent floats can collapse the midpoint
                 thr = hi
-            best = (f, float(thr), gain)
+            best = (start + int(f), float(thr), gain)
     return best
 
 
@@ -218,7 +225,9 @@ def find_best_split(node_rows, g, h, table: FlowTable, hp: Hyperparams):
     rows = np.asarray(node_rows, dtype=np.int64)
     if rows.size == 0:
         raise ValueError("node_rows must be nonempty")
-    return _best_split(table.features, rows, np.asarray(g), np.asarray(h), hp)
+    g, h = np.asarray(g), np.asarray(h)
+    G, H = float(g[rows].sum()), float(h[rows].sum())
+    return _best_split(table.features, rows, g, h, G, H, hp)
 
 
 def _leaf_value(G: float, H: float, hp: Hyperparams) -> float:
@@ -229,43 +238,27 @@ def _leaf_value(G: float, H: float, hp: Hyperparams) -> float:
     return -Gt / denom * hp.learning_rate
 
 
-def _grow_tree(X, g, h, hp: Hyperparams) -> Tree:
-    feature: list[int] = []
-    threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
-    value: list[float] = []
-    cover: list[float] = []
+def _grow_tree(X, g, h, hp: Hyperparams):
+    """One tree grown depth-first, and the leaf value each row of X reached."""
+    nodes: list[list] = []  # preorder [feature, threshold, left, right, value, cover]
+    fitted = np.empty(X.shape[0])
 
     def grow(rows, depth) -> int:
-        idx = len(feature)
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        value.append(0.0)
-        cover.append(float(h[rows].sum()))
-        split = _best_split(X, rows, g, h, hp) if depth < hp.max_depth else None
+        idx = len(nodes)
+        G, H = float(g[rows].sum()), float(h[rows].sum())
+        node = [-1, 0.0, -1, -1, 0.0, H]
+        nodes.append(node)
+        split = _best_split(X, rows, g, h, G, H, hp) if depth < hp.max_depth else None
         if split is None:
-            value[idx] = _leaf_value(float(g[rows].sum()), float(h[rows].sum()), hp)
+            node[4] = fitted[rows] = _leaf_value(G, H, hp)
         else:
             f, thr, _ = split
-            feature[idx] = f
-            threshold[idx] = thr
             mask = X[rows, f] < thr
-            left[idx] = grow(rows[mask], depth + 1)
-            right[idx] = grow(rows[~mask], depth + 1)
+            node[:4] = f, thr, grow(rows[mask], depth + 1), grow(rows[~mask], depth + 1)
         return idx
 
     grow(np.arange(X.shape[0], dtype=np.int64), 0)
-    return Tree(
-        feature=np.array(feature, dtype=np.int32),
-        threshold=np.array(threshold, dtype=np.float64),
-        left=np.array(left, dtype=np.int32),
-        right=np.array(right, dtype=np.int32),
-        value=np.array(value, dtype=np.float64),
-        cover=np.array(cover, dtype=np.float64),
-    )
+    return _tree_from_records(nodes), fitted
 
 
 def train(train_table: FlowTable, hp: Hyperparams) -> TreeEnsemble:
@@ -289,9 +282,9 @@ def train(train_table: FlowTable, hp: Hyperparams) -> TreeEnsemble:
     for _ in range(hp.n_estimators):
         g, h = _grad_hess_matrix(margins, y, w)
         for k in range(K):
-            tree = _grow_tree(X, g[:, k], h[:, k], hp)
+            tree, fitted = _grow_tree(X, g[:, k], h[:, k], hp)
             trees.append(tree)
-            margins[:, k] += tree.predict(X)
+            margins[:, k] += fitted
     return TreeEnsemble(
         trees=trees,
         n_classes=K,
@@ -387,18 +380,13 @@ def _tree_from_nodes(nodes: list, n_features: int) -> Tree:
     count = len(nodes)
     if count == 0:
         raise ModelFormatError("tree has no nodes")
-    feature = np.full(count, -1, dtype=np.int32)
-    threshold = np.zeros(count, dtype=np.float64)
-    left = np.full(count, -1, dtype=np.int32)
-    right = np.full(count, -1, dtype=np.int32)
-    value = np.zeros(count, dtype=np.float64)
-    cover = np.zeros(count, dtype=np.float64)
+    records = []
     for i, node in enumerate(nodes):
         if not isinstance(node, dict) or "kind" not in node:
             raise ModelFormatError(f"node {i} is not a tagged object")
         kind = node["kind"]
         try:
-            cover[i] = float(node.get("cover", 0.0))
+            cover = float(node.get("cover", 0.0))
             if kind == "split":
                 f = node["feature"]
                 if not isinstance(f, int) or not 0 <= f < n_features:
@@ -409,17 +397,14 @@ def _tree_from_nodes(nodes: list, n_features: int) -> Tree:
                 l, r = node["left"], node["right"]
                 if not all(isinstance(c, int) and 0 <= c < count for c in (l, r)):
                     raise ModelFormatError(f"node {i}: child index out of range")
-                feature[i] = f
-                threshold[i] = thr
-                left[i] = l
-                right[i] = r
+                records.append([f, thr, l, r, 0.0, cover])
             elif kind == "leaf":
-                value[i] = float(node["value"])
+                records.append([-1, 0.0, -1, -1, float(node["value"]), cover])
             else:
                 raise ModelFormatError(f"node {i}: unknown kind {kind!r}")
         except (KeyError, TypeError) as exc:
             raise ModelFormatError(f"node {i}: missing or malformed field: {exc}") from exc
-    return Tree(feature, threshold, left, right, value, cover)
+    return _tree_from_records(records)
 
 
 def serialize(ens: TreeEnsemble) -> bytes:

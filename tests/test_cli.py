@@ -262,6 +262,31 @@ class TestPipeline:
         assert cli.main(["pipeline", "--config", str(config), "--seed", "1"]) == 0
 
 
+    @pytest.mark.parametrize("stage", ["train", "explain", "select"])
+    def test_stage_in_a_directory_prepared_differently_is_refused(self, tmp_path, capsys, stage):
+        csv_path = tmp_path / "flows.csv"
+        write_flow_csv(csv_path, {"Benign": 40, "Recon": 20}, seed=2)
+        config = tmp_path / "run.ini"
+        config.write_text(
+            f"[run]\ninput_csv = {csv_path}\noutput_dir = {tmp_path / 'out'}\n"
+            "[hyperparams]\nn_estimators = 2\nmax_depth = 2\n"
+            "[selection]\nmax_candidates = 3\n",
+            encoding="utf-8",
+        )
+        assert cli.main(["pipeline", "--config", str(config), "--seed", "1"]) == 0
+        recorded = tmp_path / "out" / cli.EFFECTIVE_CONFIG
+        before = recorded.read_bytes()
+        capsys.readouterr()
+        assert cli.main([stage, "--config", str(config), "--seed", "2"]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        doc = json.loads(lines[0])
+        assert doc["error"] == "ValueError"
+        assert "different seed;" in doc["message"]
+        assert recorded.read_bytes() == before
+        assert cli.main([stage, "--config", str(config), "--seed", "1"]) == 0
+
+
 class TestConfigFile:
     def test_round_trip_reproduces_run(self, prepared, tmp_path):
         cfg, _, _ = prepared

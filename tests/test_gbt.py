@@ -1,14 +1,16 @@
 """Tests for gradients, split search, training, prediction, and the model format."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import flowshap as fs
+from flowshap import gbt
 from flowshap.gbt import Tree, TreeEnsemble, _grad_hess_matrix
 
-from conftest import make_table, separable_table
+from conftest import make_table, random_multiclass_table, separable_table
 
 
 def crossentropy(margins, true_class, weight):
@@ -132,6 +134,38 @@ class TestSplitGain:
         assert fs.split_gain(-2.0, 1.0, 2.0, 1.0, hp) == pytest.approx(0.5)
 
 
+def block_spanning_table(seed, signal, width=5, m=13):
+    """Integer-valued X, g and h whose root spans three feature blocks.
+
+    Columns 0 and 7 are constant; column 5 repeats column 4 and column 10
+    repeats column 9, each pair straddling a block boundary, and column 2
+    repeats column 1 inside the first block. g leans on column ``signal``.
+    """
+    rng = np.random.default_rng(seed)
+    n = gbt.SPLIT_BLOCK_ELEMENTS // width
+    assert max(1, gbt.SPLIT_BLOCK_ELEMENTS // n) == width and n * m > gbt.SPLIT_BLOCK_ELEMENTS
+    X = rng.integers(0, 8, size=(n, m)).astype(np.float64)
+    X[:, 0] = 3.0
+    X[:, 7] = -1.0
+    X[:, 2] = X[:, 1]
+    X[:, 5] = X[:, 4]
+    X[:, 10] = X[:, 9]
+    g = rng.integers(-2, 3, size=n) + 2.0 * (X[:, signal] < 3) - 1.0
+    h = rng.integers(0, 4, size=n).astype(np.float64)
+    return X, g, h
+
+
+def on_threshold_table():
+    """Rows whose values are adjacent floats, so split midpoints collapse onto
+    the upper value and training rows lie exactly on thresholds."""
+    rng = np.random.default_rng(6)
+    lo = np.array([1.0, -2.0])
+    up = np.nextafter(lo, np.inf)
+    y = rng.integers(0, 3, size=60)
+    X = np.where(rng.random((60, 2)) < 0.3 + 0.2 * y[:, None], up, lo)
+    return make_table(X, y, n_classes=3)
+
+
 class TestFindBestSplit:
     def test_constant_features_no_split(self):
         table = make_table(np.ones((6, 3)), [0, 0, 0, 1, 1, 1])
@@ -139,29 +173,57 @@ class TestFindBestSplit:
         h = np.ones(6)
         assert fs.find_best_split(np.arange(6), g, h, table, fs.Hyperparams()) is None
 
-    def test_perfect_separation_matches_enumeration(self):
-        X = np.zeros((8, 3))
-        X[:, 1] = [0, 0, 0, 0, 1, 1, 1, 1]
-        X[:, 2] = [5, 1, 4, 2, 8, 6, 9, 7]
-        table = make_table(X, [0] * 4 + [1] * 4)
-        g = np.array([-1.0] * 4 + [1.0] * 4)
-        h = np.ones(8)
-        hp = fs.Hyperparams()
-        got = fs.find_best_split(np.arange(8), g, h, table, hp)
+    @pytest.mark.parametrize(
+        "seed, signal, hp",
+        [
+            (None, None, fs.Hyperparams()),
+            (0, 4, fs.Hyperparams()),
+            (1, 9, fs.Hyperparams(min_child_weight=0.0)),
+            (2, 4, fs.Hyperparams(min_child_weight=700.0, gamma=2.0)),
+            (3, 9, fs.Hyperparams(min_child_weight=5.0, gamma=1.0, reg_alpha=1.5)),
+        ],
+        ids=["hand", "blocks-default", "blocks-mcw0", "blocks-mcw700-gamma", "blocks-alpha"],
+    )
+    def test_perfect_separation_matches_enumeration(self, seed, signal, hp):
+        if seed is None:
+            X = np.zeros((8, 3))
+            X[:, 1] = [0, 0, 0, 0, 1, 1, 1, 1]
+            X[:, 2] = [5, 1, 4, 2, 8, 6, 9, 7]
+            g = np.array([-1.0] * 4 + [1.0] * 4)
+            h = np.ones(8)
+        else:
+            X, g, h = block_spanning_table(seed, signal)
+        table = make_table(X, np.arange(len(g)) % 2)
+        got = fs.find_best_split(np.arange(len(g)), g, h, table, hp)
         assert got is not None
         # independent enumeration over every feature/boundary using split_gain
         best = None
-        for f in range(3):
+        for f in range(X.shape[1]):
             vals = sorted(set(X[:, f]))
             for lo, hi in zip(vals, vals[1:]):
                 thr = (lo + hi) / 2
                 left = X[:, f] < thr
+                if min(h[left].sum(), h[~left].sum()) < hp.min_child_weight:
+                    continue
                 gain = fs.split_gain(g[left].sum(), h[left].sum(), g[~left].sum(), h[~left].sum(), hp)
                 if gain > 0 and (best is None or gain > best[2]):
                     best = (f, thr, gain)
-        assert got[0] == best[0] == 1
-        assert got[1] == pytest.approx(best[1]) == pytest.approx(0.5)
-        assert got[2] == pytest.approx(best[2])
+        if seed is None:
+            assert got[0] == best[0] == 1
+            assert got[1] == pytest.approx(best[1]) == pytest.approx(0.5)
+            assert got[2] == pytest.approx(best[2])
+        else:
+            # integer gradients make every sum exact, so ties are real ones
+            assert got == best
+
+    def test_one_row_node_has_no_split(self):
+        table = separable_table(n=20, seed=4)
+        g = np.where(table.labels == 0, -1.0, 1.0)
+        h = np.ones(20)
+        hp = fs.Hyperparams(min_child_weight=0.0)
+        assert fs.find_best_split(np.arange(20), g, h, table, hp) is not None
+        for i in range(20):
+            assert fs.find_best_split([i], g, h, table, hp) is None
 
     def test_tie_breaks_to_lower_threshold(self):
         # symmetric gradients make the two boundaries score identically
@@ -300,6 +362,38 @@ class TestTrain:
                 check(int(tree.right[node]), right)
 
             check(0, np.arange(n))
+
+    @pytest.mark.parametrize("min_child_weight", [0.0, 1.0])
+    @pytest.mark.parametrize("on_thresholds", [False, True], ids=["fixture", "on-thresholds"])
+    def test_fitted_values_equal_predict(self, on_thresholds, min_child_weight):
+        # train adds the grower's fitted vector instead of re-routing X
+        table = on_threshold_table() if on_thresholds else random_multiclass_table()
+        X = table.features
+        hp = fs.Hyperparams(max_depth=4, min_child_weight=min_child_weight)
+        margins = np.full((table.n_rows, len(table.class_names)), hp.base_score)
+        g, h = _grad_hess_matrix(margins, table.labels, table.sample_weights)
+        on_threshold = False
+        for k in range(len(table.class_names)):
+            tree, fitted = gbt._grow_tree(X, g[:, k], h[:, k], hp)
+            assert fitted.tobytes() == tree.predict(X).tobytes()
+            split = tree.feature >= 0
+            on_threshold |= bool(np.isin(tree.threshold[split], X).any())
+        assert on_threshold == on_thresholds
+
+    def test_min_child_weight_zero_isolates_one_row(self):
+        X = np.array([[0.0], [1.0], [2.0], [3.0], [4.0], [5.0], [6.0], [9.0]])
+        table = make_table(X, [0, 0, 0, 1, 1, 1, 0, 2])  # class 2 has one row
+        ens = fs.train(table, fs.Hyperparams(n_estimators=3, max_depth=4, min_child_weight=0.0))
+        single_row_leaves = 0
+        for tree in ens.trees:
+            assert np.isfinite(tree.value).all() and np.isfinite(tree.cover).all()
+            for i in np.nonzero(tree.feature >= 0)[0]:
+                child_sum = tree.cover[tree.left[i]] + tree.cover[tree.right[i]]
+                assert child_sum == pytest.approx(tree.cover[i], rel=1e-9)
+            node_ids = replace(tree, value=np.arange(tree.n_nodes, dtype=np.float64))
+            reached = np.bincount(node_ids.predict(X).astype(int), minlength=tree.n_nodes)
+            single_row_leaves += int((reached == 1).sum())
+        assert single_row_leaves > 0
 
     def test_gamma_monotone_pruning(self):
         table = separable_table(n=90, seed=8)
