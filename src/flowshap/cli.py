@@ -39,19 +39,22 @@ PREPARE_FIELDS = [field for section, _, field, _, _ in SCHEMA
 PIPELINE_FIELDS = [field for _, _, field, _, _ in SCHEMA if field != FIELD.output_dir]
 
 
-def _outdir(cfg: RunConfig, fields=()) -> Path:
-    """The output directory, refused when its recorded configuration differs
-    from this run's in any of ``fields``, since its artifacts are stale."""
+def _outdir(cfg: RunConfig, fields=()) -> tuple[RunConfig, Path]:
+    """This run's config and output directory, refused when the directory's
+    recorded config differs in any of ``fields``, since its artifacts are
+    stale. A run without an input CSV takes the recorded one: only prepare
+    reads it."""
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     recorded = out / EFFECTIVE_CONFIG
     if fields and recorded.exists():
         before = load_config_file(recorded)
+        cfg = replace(cfg, input_csv=cfg.input_csv or before.input_csv)
         changed = [field for field in fields if getattr(before, field) != getattr(cfg, field)]
         if changed:
             raise ValueError(f"{recorded} records a run with different {', '.join(changed)}; "
                              "use a fresh output directory")
-    return out
+    return cfg, out
 
 
 def _write_json(doc, path: Path) -> None:
@@ -76,7 +79,7 @@ def cmd_prepare(cfg: RunConfig) -> dict:
     """Parse, clean, split, and persist the train/test tables."""
     if not cfg.input_csv:
         raise ValueError("no input CSV configured")
-    out = _outdir(cfg)
+    cfg, out = _outdir(cfg)
     raw = ingest.load_csv(cfg.input_csv)
     table = ingest.preprocess(raw, drop_columns=set(cfg.drop_columns), label_column=cfg.label_column)
     train_t, test_t = ingest.stratified_split(table, cfg.split_spec())
@@ -111,7 +114,7 @@ def _load_tables(out: Path):
 
 def cmd_train(cfg: RunConfig) -> metrics.EvalReport:
     """Train with inverse-frequency sample weights and report test metrics."""
-    out = _outdir(cfg, PREPARE_FIELDS)
+    cfg, out = _outdir(cfg, PREPARE_FIELDS)
     train_t, test_t = _load_tables(out)
     ens, train_seconds = gbt.train_weighted(train_t, cfg.hyperparams())
     gbt.save_model(ens, out / MODEL_FILE)
@@ -128,7 +131,7 @@ def _explained_rows(cfg: RunConfig, train_t, test_t):
 def cmd_explain(cfg: RunConfig) -> explain.ShapMatrix:
     """Attribute margins over the chosen rows, verify additivity, and export
     values and rankings."""
-    out = _outdir(cfg, PREPARE_FIELDS)
+    cfg, out = _outdir(cfg, PREPARE_FIELDS)
     ens = gbt.load_model(out / MODEL_FILE)
     table = _explained_rows(cfg, *_load_tables(out))
     shap = explain.tree_shap(ens, table)
@@ -196,7 +199,7 @@ def _final_model_report(cfg: RunConfig, selected, train_t, test_t):
 
 def cmd_select(cfg: RunConfig, compare: bool = False) -> dict:
     """Select features, retrain the reduced model, and report test metrics."""
-    out = _outdir(cfg, PREPARE_FIELDS)
+    cfg, out = _outdir(cfg, PREPARE_FIELDS)
     train_t, test_t = _load_tables(out)
 
     methods = list(SELECTION_METHODS) if compare else [cfg.method]
@@ -243,7 +246,7 @@ def cmd_pipeline(cfg: RunConfig, compare: bool = False) -> None:
     Refuses a directory whose recorded configuration differs from this run's
     in anything but the output directory, since its artifacts are stale.
     """
-    out = _outdir(cfg, PIPELINE_FIELDS)
+    cfg, out = _outdir(cfg, PIPELINE_FIELDS)
     if not _stage_done(out, [TRAIN_TABLE, TEST_TABLE, PREPARE_REPORT]):
         cmd_prepare(cfg)
     if not _stage_done(out, [MODEL_FILE, TRAIN_REPORT]):

@@ -286,6 +286,24 @@ class TestPipeline:
         assert recorded.read_bytes() == before
         assert cli.main([stage, "--config", str(config), "--seed", "1"]) == 0
 
+    def test_readme_stage_commands_run_without_input(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        write_flow_csv(tmp_path / "flows.csv", {"Benign": 40, "Recon": 20}, seed=2)
+        assert cli.main(["prepare", "--input", "flows.csv", "--output-dir", "out", "--seed", "42"]) == 0
+        for stage in (["train"], ["explain"], ["select", "--method", "shap"]):
+            assert cli.main([*stage, "--output-dir", "out", "--seed", "42"]) == 0
+        recorded = tmp_path / "out" / cli.EFFECTIVE_CONFIG
+        assert load_config_file(recorded).input_csv == "flows.csv"
+        before = recorded.read_bytes()
+        capsys.readouterr()
+        assert cli.main(["train", "--output-dir", "out", "--seed", "2"]) == 1
+        doc = json.loads(capsys.readouterr().err)
+        assert "different seed;" in doc["message"]
+        assert cli.main(["train", "--input", "other.csv", "--output-dir", "out", "--seed", "42"]) == 1
+        doc = json.loads(capsys.readouterr().err)
+        assert "different input_csv;" in doc["message"]
+        assert recorded.read_bytes() == before
+
 
 class TestConfigFile:
     def test_round_trip_reproduces_run(self, prepared, tmp_path):
