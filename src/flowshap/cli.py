@@ -39,7 +39,7 @@ PREPARE_FIELDS = [field for section, _, field, _, _ in SCHEMA
 PIPELINE_FIELDS = [field for _, _, field, _, _ in SCHEMA if field != FIELD.output_dir]
 
 
-def _outdir(cfg: RunConfig, fields=()) -> tuple[RunConfig, Path]:
+def _outdir(cfg: RunConfig, fields) -> tuple[RunConfig, Path]:
     """This run's config and output directory, refused when the directory's
     recorded config differs in any of ``fields``, since its artifacts are
     stale. A run without an input CSV takes the recorded one: only prepare
@@ -47,7 +47,7 @@ def _outdir(cfg: RunConfig, fields=()) -> tuple[RunConfig, Path]:
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     recorded = out / EFFECTIVE_CONFIG
-    if fields and recorded.exists():
+    if recorded.exists():
         before = load_config_file(recorded)
         cfg = replace(cfg, input_csv=cfg.input_csv or before.input_csv)
         changed = [field for field in fields if getattr(before, field) != getattr(cfg, field)]
@@ -79,7 +79,7 @@ def cmd_prepare(cfg: RunConfig) -> dict:
     """Parse, clean, split, and persist the train/test tables."""
     if not cfg.input_csv:
         raise ValueError("no input CSV configured")
-    cfg, out = _outdir(cfg)
+    cfg, out = _outdir(cfg, PREPARE_FIELDS)
     raw = ingest.load_csv(cfg.input_csv)
     table = ingest.preprocess(raw, drop_columns=set(cfg.drop_columns), label_column=cfg.label_column)
     train_t, test_t = ingest.stratified_split(table, cfg.split_spec())

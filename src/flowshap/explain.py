@@ -18,6 +18,7 @@ children by cover for everything else.
 """
 
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass
@@ -256,17 +257,18 @@ def per_class_importance(shap: ShapMatrix, class_k: int) -> ImportanceRanking:
 
 
 def write_shap_csv(shap: ShapMatrix, class_names, path) -> None:
-    """Long-form export: one row per (sample_index, class, feature)."""
+    """Long-form export, one row per (sample_index, class, feature), as ``csv.writer`` writes it."""
+    middles = []  # each (class, feature) pair's quoted ",class,feature," is built once
+    for k in range(shap.values.shape[1]):
+        for name in shap.feature_names:
+            buf = io.StringIO()
+            csv.writer(buf).writerow(["", class_names[k], name, ""])
+            middles.append(buf.getvalue()[:-2])
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample_index", "class", "feature", "phi"])
-        n, K, M = shap.values.shape
-        for s in range(n):
-            for k in range(K):
-                for i in range(M):
-                    writer.writerow(
-                        [s, class_names[k], shap.feature_names[i], repr(float(shap.values[s, k, i]))]
-                    )
+        fh.write("sample_index,class,feature,phi\r\n")
+        for s, sample in enumerate(shap.values):
+            phis = map(repr, sample.reshape(-1).tolist())
+            fh.write("".join([f"{s}{mid}{phi}\r\n" for mid, phi in zip(middles, phis)]))
 
 
 def write_base_values_json(shap: ShapMatrix, class_names, path) -> None:

@@ -6,12 +6,14 @@ distinct sorted feature values is scored with the second-order gain
     gain = 1/2 * [ T(GL)^2/(HL+lambda) + T(GR)^2/(HR+lambda)
                    - T(GL+GR)^2/(HL+HR+lambda) ] - gamma
 
-where T is the L1 soft-threshold applied when alpha > 0. A node scores its
-features in blocks of SPLIT_BLOCK_ELEMENTS // rows columns, with one stable
-sort and one cumulative sum per statistic for the whole block; the first
-maximum in feature-major order wins, so ties go to the lower feature index,
-then the lower threshold. Leaf values are -T(G)/(H+lambda) scaled by the
-learning rate. Training is fully deterministic for fixed inputs.
+where T is the L1 soft-threshold applied when alpha > 0. ``train`` sorts
+each feature once; a child node keeps the entries of its parent's sorted rows
+that go its way, which is the stable sort of its own rows. A node scores its
+features in blocks of SPLIT_BLOCK_ELEMENTS // rows, with one cumulative sum
+per statistic for the whole block; the first maximum in feature-major order
+wins, so ties go to the lower feature index, then the lower threshold. Leaf
+values are -T(G)/(H+lambda) scaled by the learning rate. Training is fully
+deterministic for fixed inputs.
 """
 
 import json
@@ -183,36 +185,35 @@ def split_gain(GL: float, HL: float, GR: float, HR: float, hp: Hyperparams) -> f
     )
 
 
-def _best_split(X, rows, g, h, G, H, hp: Hyperparams):
+def _best_split(XT, idx, g, h, G, H, hp: Hyperparams):
     """Exact greedy search over all features and distinct-value boundaries of
-    the rows, whose gradient and hessian sums are G and H.
+    a node: row f of ``idx`` holds its rows sorted by feature f (row f of XT),
+    and G and H are its gradient and hessian sums.
 
     Returns (feature_index, threshold, gain) or None. Ties go to the lower
     feature index, then the lower threshold.
     """
-    if rows.size < 2:
+    if idx.shape[1] < 2:
         return None
-    gr, hr = g[rows], h[rows]
     parent = _gain_terms(G, H, hp)
-    width = max(1, SPLIT_BLOCK_ELEMENTS // rows.size)
+    width = max(1, SPLIT_BLOCK_ELEMENTS // idx.shape[1])
     best = None
-    for start in range(0, X.shape[1], width):
-        v = X[rows, start : start + width]
-        order = np.argsort(v, axis=0, kind="stable")
-        sv = np.take_along_axis(v, order, axis=0)
-        GL = np.cumsum(gr[order], axis=0)[:-1]
-        HL = np.cumsum(hr[order], axis=0)[:-1]
+    for start in range(0, XT.shape[0], width):
+        order = idx[start : start + width]
+        sv = np.take_along_axis(XT[start : start + width], order, axis=1)
+        GL = np.cumsum(g[order], axis=1)[:, :-1]
+        HL = np.cumsum(h[order], axis=1)[:, :-1]
         GR, HR = G - GL, H - HL
         gains = (
             0.5 * (_gain_terms(GL, HL, hp) + _gain_terms(GR, HR, hp) - parent)
             - hp.gamma
         )
-        ok = (sv[:-1] < sv[1:]) & (HL >= hp.min_child_weight) & (HR >= hp.min_child_weight)
-        gains = np.where(ok, gains, -np.inf).T  # feature-major: first maximum wins ties
+        ok = (sv[:, :-1] < sv[:, 1:]) & (HL >= hp.min_child_weight) & (HR >= hp.min_child_weight)
+        gains = np.where(ok, gains, -np.inf)  # feature-major: first maximum wins ties
         f, i = np.unravel_index(np.argmax(gains), gains.shape)
         gain = float(gains[f, i])
         if gain > 0.0 and (best is None or gain > best[2]):
-            lo, hi = sv[i, f], sv[i + 1, f]
+            lo, hi = sv[f, i], sv[f, i + 1]
             thr = (lo + hi) / 2.0
             if thr <= lo:  # adjacent floats can collapse the midpoint
                 thr = hi
@@ -227,7 +228,8 @@ def find_best_split(node_rows, g, h, table: FlowTable, hp: Hyperparams):
         raise ValueError("node_rows must be nonempty")
     g, h = np.asarray(g), np.asarray(h)
     G, H = float(g[rows].sum()), float(h[rows].sum())
-    return _best_split(table.features, rows, g, h, G, H, hp)
+    XT = np.ascontiguousarray(table.features[rows].T)  # the node's own table
+    return _best_split(XT, np.argsort(XT, axis=1, kind="stable"), g[rows], h[rows], G, H, hp)
 
 
 def _leaf_value(G: float, H: float, hp: Hyperparams) -> float:
@@ -238,26 +240,30 @@ def _leaf_value(G: float, H: float, hp: Hyperparams) -> float:
     return -Gt / denom * hp.learning_rate
 
 
-def _grow_tree(X, g, h, hp: Hyperparams):
-    """One tree grown depth-first, and the leaf value each row of X reached."""
+def _grow_tree(XT, order, g, h, hp: Hyperparams):
+    """One tree grown depth-first from ``order``, the rows sorted by each
+    feature, and the leaf value each row reached. Live index matrices belong
+    to the current node and the pending right siblings: disjoint rows."""
     nodes: list[list] = []  # preorder [feature, threshold, left, right, value, cover]
-    fitted = np.empty(X.shape[0])
-
-    def grow(rows, depth) -> int:
-        idx = len(nodes)
+    fitted = np.empty(XT.shape[1])
+    pending = [(None, 0, np.arange(XT.shape[1], dtype=np.int64), order, 0)]
+    while pending:  # a node is numbered when popped, left child before right
+        parent, slot, rows, idx, depth = pending.pop()
+        if parent is not None:
+            parent[slot] = len(nodes)
         G, H = float(g[rows].sum()), float(h[rows].sum())
         node = [-1, 0.0, -1, -1, 0.0, H]
         nodes.append(node)
-        split = _best_split(X, rows, g, h, G, H, hp) if depth < hp.max_depth else None
+        split = _best_split(XT, idx, g, h, G, H, hp) if depth < hp.max_depth else None
         if split is None:
             node[4] = fitted[rows] = _leaf_value(G, H, hp)
-        else:
-            f, thr, _ = split
-            mask = X[rows, f] < thr
-            node[:4] = f, thr, grow(rows[mask], depth + 1), grow(rows[~mask], depth + 1)
-        return idx
-
-    grow(np.arange(X.shape[0], dtype=np.int64), 0)
+            continue
+        f, thr, _ = split
+        node[:2] = f, thr
+        goes_left = XT[f] < thr
+        left, goleft = goes_left[rows], goes_left[idx]
+        pending.append((node, 3, rows[~left], idx[~goleft].reshape(XT.shape[0], -1), depth + 1))
+        pending.append((node, 2, rows[left], idx[goleft].reshape(XT.shape[0], -1), depth + 1))
     return _tree_from_records(nodes), fitted
 
 
@@ -277,12 +283,14 @@ def train(train_table: FlowTable, hp: Hyperparams) -> TreeEnsemble:
     if np.unique(y).size < 2:
         raise ValueError("training requires at least 2 classes present")
     K = len(train_table.class_names)
+    XT = np.ascontiguousarray(X.T)
+    order = np.argsort(XT, axis=1, kind="stable")  # the one sort of this call
     margins = np.full((n, K), hp.base_score, dtype=np.float64)
     trees: list[Tree] = []
     for _ in range(hp.n_estimators):
         g, h = _grad_hess_matrix(margins, y, w)
         for k in range(K):
-            tree, fitted = _grow_tree(X, g[:, k], h[:, k], hp)
+            tree, fitted = _grow_tree(XT, order, g[:, k], h[:, k], hp)
             trees.append(tree)
             margins[:, k] += fitted
     return TreeEnsemble(

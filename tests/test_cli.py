@@ -286,6 +286,27 @@ class TestPipeline:
         assert recorded.read_bytes() == before
         assert cli.main([stage, "--config", str(config), "--seed", "1"]) == 0
 
+    def test_prepare_into_a_directory_of_another_run_is_refused(self, tmp_path, capsys):
+        csv_path = tmp_path / "flows.csv"
+        write_flow_csv(csv_path, {"Benign": 40, "Recon": 20}, seed=2)
+        config = tmp_path / "run.ini"
+        config.write_text(
+            f"[run]\ninput_csv = {csv_path}\noutput_dir = {tmp_path / 'out'}\n"
+            "[hyperparams]\nn_estimators = 2\nmax_depth = 2\n"
+            "[selection]\nmax_candidates = 3\n",
+            encoding="utf-8",
+        )
+        assert cli.main(["pipeline", "--config", str(config), "--seed", "1"]) == 0
+        kept = [tmp_path / "out" / name for name in (cli.MODEL_FILE, cli.EFFECTIVE_CONFIG)]
+        before = [path.read_bytes() for path in kept]
+        capsys.readouterr()
+        assert cli.main(["prepare", "--config", str(config), "--seed", "2"]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert "different seed;" in json.loads(lines[0])["message"]
+        assert [path.read_bytes() for path in kept] == before
+        assert cli.main(["prepare", "--config", str(config), "--seed", "1"]) == 0
+
     def test_readme_stage_commands_run_without_input(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         write_flow_csv(tmp_path / "flows.csv", {"Benign": 40, "Recon": 20}, seed=2)

@@ -1,10 +1,12 @@
-"""Tests for conditional expectations, Shapley attributions, and rankings."""
+"""Tests for conditional expectations, Shapley attributions, rankings and exports."""
+
+import csv
 
 import numpy as np
 import pytest
 
 import flowshap as fs
-from flowshap.explain import _root_expectation
+from flowshap.explain import _root_expectation, write_shap_csv
 from flowshap.gbt import Tree, TreeEnsemble
 
 from conftest import make_table, random_multiclass_table
@@ -347,3 +349,22 @@ class TestRankings:
         a = fs.global_importance(matrix(values.copy(), names))
         b = fs.global_importance(matrix(values.copy(), names))
         assert a.entries == b.entries
+
+
+class TestShapCsv:
+    def test_export_equals_csv_writer_reference(self, tmp_path):
+        rng = np.random.default_rng(8)
+        values = rng.normal(size=(3, 2, 4)) * 10.0 ** rng.integers(-300, 300, size=(3, 2, 4))
+        values[0, 0, :3] = [-0.0, 5e-324, 1e16]
+        names = ["a,b", 'q"x', "plain", " line\r\nbreak"]
+        classes = ["Benign", "Data,Exfil"]
+        path = tmp_path / "shap.csv"
+        write_shap_csv(matrix(values, names), classes, path)
+        with open(tmp_path / "reference.csv", "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["sample_index", "class", "feature", "phi"])
+            for s in range(3):
+                for k in range(2):
+                    for i in range(4):
+                        writer.writerow([s, classes[k], names[i], repr(float(values[s, k, i]))])
+        assert path.read_bytes() == (tmp_path / "reference.csv").read_bytes()

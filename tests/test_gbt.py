@@ -369,16 +369,43 @@ class TestTrain:
         # train adds the grower's fitted vector instead of re-routing X
         table = on_threshold_table() if on_thresholds else random_multiclass_table()
         X = table.features
+        XT = np.ascontiguousarray(X.T)
+        order = np.argsort(XT, axis=1, kind="stable")
         hp = fs.Hyperparams(max_depth=4, min_child_weight=min_child_weight)
         margins = np.full((table.n_rows, len(table.class_names)), hp.base_score)
         g, h = _grad_hess_matrix(margins, table.labels, table.sample_weights)
         on_threshold = False
         for k in range(len(table.class_names)):
-            tree, fitted = gbt._grow_tree(X, g[:, k], h[:, k], hp)
+            tree, fitted = gbt._grow_tree(XT, order, g[:, k], h[:, k], hp)
             assert fitted.tobytes() == tree.predict(X).tobytes()
             split = tree.feature >= 0
             on_threshold |= bool(np.isin(tree.threshold[split], X).any())
         assert on_threshold == on_thresholds
+
+    @pytest.mark.parametrize("min_child_weight", [0.0, 1.0])
+    def test_grown_splits_equal_find_best_split(self, min_child_weight):
+        # each node's rows, filtered from the one presort of the table, must
+        # split exactly as the node's own stable sort does; two classes and
+        # unit weights make every gradient sum exact, so gain ties are real
+        X, signal_g, _ = block_spanning_table(5, 4)
+        table = make_table(X, (signal_g > 0).astype(int))
+        hp = fs.Hyperparams(n_estimators=1, min_child_weight=min_child_weight)
+        ens = fs.train(table, hp)
+        margins = np.full((table.n_rows, 2), hp.base_score)
+        g, h = _grad_hess_matrix(margins, table.labels, table.sample_weights)
+        checked = 0
+        for k, tree in enumerate(ens.trees):
+            pending = [(0, np.arange(table.n_rows))]
+            while pending:
+                node, rows = pending.pop()
+                f, thr = int(tree.feature[node]), float(tree.threshold[node])
+                if f < 0:
+                    continue
+                assert fs.find_best_split(rows, g[:, k], h[:, k], table, hp)[:2] == (f, thr)
+                checked += 1
+                left = X[rows, f] < thr
+                pending += [(int(tree.left[node]), rows[left]), (int(tree.right[node]), rows[~left])]
+        assert checked >= 40
 
     def test_min_child_weight_zero_isolates_one_row(self):
         X = np.array([[0.0], [1.0], [2.0], [3.0], [4.0], [5.0], [6.0], [9.0]])
