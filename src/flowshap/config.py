@@ -13,6 +13,7 @@ from types import SimpleNamespace
 
 from .gbt import HYPERPARAM_KEYS, Hyperparams
 from .ingest import DEFAULT_DROP_COLUMNS, DEFAULT_LABEL_COLUMN, SplitSpec
+from .selection import check_pass_limits
 
 SEED_OFFSET_SPLIT = 0
 SEED_OFFSET_TRAIN = 1
@@ -56,6 +57,7 @@ class RunConfig:
             raise ValueError("explain rows must be 'test' or 'train'")
         if self.k_for_filters < 1:
             raise ValueError("k_for_filters must be at least 1")
+        check_pass_limits(self.max_candidates, self.patience)
         self.split_spec()
         self.hyperparams()
 

@@ -204,11 +204,6 @@ def _path_phi(X, feat, lo, hi, z) -> np.ndarray:
     return np.where(one, (1.0 - z) * total, absent[..., None])
 
 
-def _root_expectation(tree: Tree) -> float:
-    """Cover-weighted mean of all leaves (the unconditioned tree output)."""
-    return _cond_exp_mask(tree, np.zeros(0), 0)
-
-
 def tree_shap(ens: TreeEnsemble, table: FlowTable) -> ShapMatrix:
     """Exact attributions of every per-class margin over all table rows."""
     if list(table.feature_names) != list(ens.feature_names):

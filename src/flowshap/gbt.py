@@ -167,9 +167,7 @@ def _soft_threshold(g, alpha: float):
 def _gain_terms(G, H, hp: Hyperparams):
     Gt = _soft_threshold(np.asarray(G, dtype=np.float64), hp.reg_alpha)
     denom = np.asarray(H, dtype=np.float64) + hp.reg_lambda
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(denom > 0, Gt * Gt / np.where(denom > 0, denom, 1.0), 0.0)
-    return out
+    return np.divide(Gt * Gt, denom, out=np.zeros_like(denom), where=denom > 0)
 
 
 def split_gain(GL: float, HL: float, GR: float, HR: float, hp: Hyperparams) -> float:
@@ -357,30 +355,16 @@ def _hyperparams_from_json(doc: dict) -> Hyperparams:
 def _tree_to_nodes(tree: Tree) -> list[dict]:
     nodes = []
     for i in range(tree.n_nodes):
-        if tree.feature[i] >= 0:
-            nodes.append(
-                {
-                    "kind": "split",
-                    "feature": int(tree.feature[i]),
-                    "threshold": float(tree.threshold[i]),
-                    "left": int(tree.left[i]),
-                    "right": int(tree.right[i]),
-                    "value": None,
-                    "cover": float(tree.cover[i]),
-                }
-            )
-        else:
-            nodes.append(
-                {
-                    "kind": "leaf",
-                    "feature": None,
-                    "threshold": None,
-                    "left": None,
-                    "right": None,
-                    "value": float(tree.value[i]),
-                    "cover": float(tree.cover[i]),
-                }
-            )
+        split = bool(tree.feature[i] >= 0)
+        nodes.append({
+            "kind": "split" if split else "leaf",
+            "feature": int(tree.feature[i]) if split else None,
+            "threshold": float(tree.threshold[i]) if split else None,
+            "left": int(tree.left[i]) if split else None,
+            "right": int(tree.right[i]) if split else None,
+            "value": None if split else float(tree.value[i]),
+            "cover": float(tree.cover[i]),
+        })
     return nodes
 
 

@@ -7,7 +7,7 @@ produces dense float64 feature tables with per-row sample weights.
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import itemgetter
 
 import numpy as np
@@ -97,24 +97,13 @@ class FlowTable:
         missing = [f for f in feature_subset if f not in index]
         if missing:
             raise SchemaError(f"unknown features: {missing}")
-        cols = [index[f] for f in feature_subset]
-        return FlowTable(
-            feature_names=list(feature_subset),
-            features=self.features[:, cols],  # fancy indexing copies
-            labels=self.labels,
-            class_names=list(self.class_names),
-            sample_weights=self.sample_weights,
-        )
+        cols = [index[f] for f in feature_subset]  # fancy indexing copies
+        return replace(self, feature_names=list(feature_subset), features=self.features[:, cols])
 
     def take(self, row_indices) -> "FlowTable":
         rows = np.asarray(row_indices, dtype=np.int64)
-        return FlowTable(
-            feature_names=list(self.feature_names),
-            features=self.features[rows],
-            labels=self.labels[rows],
-            class_names=list(self.class_names),
-            sample_weights=self.sample_weights[rows],
-        )
+        return replace(self, features=self.features[rows], labels=self.labels[rows],
+                       sample_weights=self.sample_weights[rows])
 
 
 @dataclass(frozen=True)
@@ -302,13 +291,7 @@ def apply_sample_weights(table: FlowTable, cw: ClassWeights) -> FlowTable:
         raise SchemaError(
             f"weight vector covers {len(cw.weights)} classes, table has {len(table.class_names)}"
         )
-    return FlowTable(
-        feature_names=list(table.feature_names),
-        features=table.features,
-        labels=table.labels,
-        class_names=list(table.class_names),
-        sample_weights=cw.weights[table.labels],
-    )
+    return replace(table, sample_weights=cw.weights[table.labels])
 
 
 def save_table(table: FlowTable, path) -> None:

@@ -1,7 +1,7 @@
 """Confusion-matrix metrics with macro and support-weighted averaging."""
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -142,25 +142,10 @@ def report_to_dict(report: EvalReport) -> dict:
     return {
         "accuracy": report.accuracy,
         "per_class": [
-            {
-                "class": name,
-                "precision": m.precision,
-                "recall": m.recall,
-                "f1": m.f1,
-                "support": m.support,
-            }
-            for name, m in zip(report.class_names, report.per_class)
+            {"class": name, **asdict(m)} for name, m in zip(report.class_names, report.per_class)
         ],
-        "macro": {
-            "precision": report.macro.precision,
-            "recall": report.macro.recall,
-            "f1": report.macro.f1,
-        },
-        "weighted": {
-            "precision": report.weighted.precision,
-            "recall": report.weighted.recall,
-            "f1": report.weighted.f1,
-        },
+        "macro": asdict(report.macro),
+        "weighted": asdict(report.weighted),
         "timing": {
             "train_seconds": report.train_seconds,
             "predict_seconds": report.predict_seconds,

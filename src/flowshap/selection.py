@@ -40,6 +40,13 @@ class FilterScores:
     feature_names: list[str]
 
 
+def check_pass_limits(max_candidates, patience) -> None:
+    """Reject a candidate cap or a patience below 1; None means no limit."""
+    for name, value in (("max_candidates", max_candidates), ("patience", patience)):
+        if value is not None and value < 1:
+            raise ValueError(f"{name} must be at least 1 when set")
+
+
 def run_forward_pass(candidates, evaluate, max_candidates=None, patience=None):
     """Greedy strict-improvement pass over ranked candidates.
 
@@ -48,6 +55,7 @@ def run_forward_pass(candidates, evaluate, max_candidates=None, patience=None):
     """
     if not candidates:
         raise ValueError("empty candidate ranking")
+    check_pass_limits(max_candidates, patience)
     pool = list(candidates) if max_candidates is None else list(candidates)[:max_candidates]
     f1_best = 0.0
     selected: list[str] = []
@@ -106,8 +114,7 @@ def correlation_scores(table: FlowTable) -> FilterScores:
     yc = y - y.mean()
     num = xc.T @ yc
     den = np.sqrt((xc * xc).sum(axis=0) * (yc * yc).sum())
-    with np.errstate(invalid="ignore", divide="ignore"):
-        scores = np.where(den > 0, np.abs(num) / np.where(den > 0, den, 1.0), 0.0)
+    scores = np.divide(np.abs(num), den, out=np.zeros_like(den), where=den > 0)
     return FilterScores("correlation", scores, list(table.feature_names))
 
 
@@ -118,7 +125,7 @@ def chi_square_scores(table: FlowTable) -> FilterScores:
     X = table.features
     lo = X.min(axis=0)
     span = X.max(axis=0) - lo
-    scaled = np.where(span > 0, (X - lo) / np.where(span > 0, span, 1.0), 0.0)
+    scaled = np.divide(X - lo, span, out=np.zeros_like(X), where=span > 0)
     K = len(table.class_names)
     n = table.n_rows
     scores = np.zeros(table.n_features)
@@ -127,9 +134,8 @@ def chi_square_scores(table: FlowTable) -> FilterScores:
         mask = table.labels == k
         observed = scaled[mask].sum(axis=0)
         expected = (mask.sum() / n) * total
-        with np.errstate(invalid="ignore", divide="ignore"):
-            term = np.where(expected > 0, (observed - expected) ** 2 / np.where(expected > 0, expected, 1.0), 0.0)
-        scores += term
+        scores += np.divide((observed - expected) ** 2, expected,
+                            out=np.zeros_like(expected), where=expected > 0)
     return FilterScores("chi_square", scores, list(table.feature_names))
 
 
@@ -156,12 +162,7 @@ def anova_scores(table: FlowTable) -> FilterScores:
         ssw += ((block - mean_k) ** 2).sum(axis=0)
     msb = ssb / (k_groups - 1)
     msw = ssw / (n - k_groups)
-    scores = np.empty(table.n_features)
-    for j in range(table.n_features):
-        if msw[j] > 0:
-            scores[j] = msb[j] / msw[j]
-        else:
-            scores[j] = ANOVA_SENTINEL if msb[j] > 0 else 0.0
+    scores = np.divide(msb, msw, out=np.where(msb > 0, ANOVA_SENTINEL, 0.0), where=msw > 0)
     return FilterScores("anova", scores, list(table.feature_names))
 
 

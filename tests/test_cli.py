@@ -431,6 +431,7 @@ class TestConfigSchema:
 
     @pytest.mark.parametrize("bad", [
         {"max_depth": 0}, {"train_fraction": 1.5}, {"k_for_filters": 0}, {"learning_rate": 0.0},
+        {"max_candidates": 0}, {"max_candidates": -1}, {"patience": 0},
     ])
     def test_invalid_values_fail_at_construction(self, bad):
         with pytest.raises(ValueError):

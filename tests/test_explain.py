@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import flowshap as fs
-from flowshap.explain import _root_expectation, write_shap_csv
+from flowshap.explain import write_shap_csv
 from flowshap.gbt import Tree, TreeEnsemble
 
 from conftest import make_table, random_multiclass_table
@@ -271,7 +271,9 @@ class TestTreeShap:
         ens, table = small_ensemble
         expected = np.full(ens.n_classes, ens.base_score)
         for idx, tree in enumerate(ens.trees):
-            expected[idx % ens.n_classes] += _root_expectation(tree)
+            expected[idx % ens.n_classes] += fs.conditional_expectation(
+                tree, np.zeros(len(ens.feature_names)), []
+            )
         shap = fs.tree_shap(ens, table)
         assert np.abs(shap.base_values - expected).max() <= 1e-12
 

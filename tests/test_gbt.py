@@ -133,6 +133,14 @@ class TestSplitGain:
         # thresholded G: -2 -> -1, 2 -> 1, parent 0 -> 0; 0.5 * (1/2 + 1/2)
         assert fs.split_gain(-2.0, 1.0, 2.0, 1.0, hp) == pytest.approx(0.5)
 
+    # "error" also turns numpy's warning about a where= without out= into a
+    # failure: the masked term must be 0, not uninitialised memory.
+    @pytest.mark.filterwarnings("error")
+    def test_zero_denominator_term_counts_zero(self):
+        hp = fs.Hyperparams(reg_lambda=0.0)
+        # the left child has HL + lambda = 0: 0.5 * (0 + 1/2 - 0/2)
+        assert fs.split_gain(1.0, 0.0, -1.0, 2.0, hp) == 0.25
+
 
 def block_spanning_table(seed, signal, width=5, m=13):
     """Integer-valued X, g and h whose root spans three feature blocks.
@@ -181,8 +189,11 @@ class TestFindBestSplit:
             (1, 9, fs.Hyperparams(min_child_weight=0.0)),
             (2, 4, fs.Hyperparams(min_child_weight=700.0, gamma=2.0)),
             (3, 9, fs.Hyperparams(min_child_weight=5.0, gamma=1.0, reg_alpha=1.5)),
+            pytest.param(4, 4, fs.Hyperparams(reg_lambda=0.0, min_child_weight=0.0),
+                         marks=pytest.mark.filterwarnings("error")),  # zero-hessian children
         ],
-        ids=["hand", "blocks-default", "blocks-mcw0", "blocks-mcw700-gamma", "blocks-alpha"],
+        ids=["hand", "blocks-default", "blocks-mcw0", "blocks-mcw700-gamma", "blocks-alpha",
+             "blocks-lambda0-mcw0"],
     )
     def test_perfect_separation_matches_enumeration(self, seed, signal, hp):
         if seed is None:

@@ -54,6 +54,13 @@ class TestForwardPass:
         with pytest.raises(ValueError, match="empty"):
             fs.run_forward_pass([], lambda s: 0.0)
 
+    @pytest.mark.parametrize("limits", [
+        {"max_candidates": 0}, {"max_candidates": -1}, {"patience": 0},
+    ])
+    def test_limits_below_one_rejected(self, limits):
+        with pytest.raises(ValueError, match="at least 1"):
+            fs.run_forward_pass(["A", "B", "C"], lambda s: 0.0, **limits)
+
     def test_accepted_scores_strictly_increase_and_replay(self):
         rng = np.random.default_rng(10)
         for _ in range(10):
@@ -197,6 +204,11 @@ class TestAnovaScores:
         X = np.array([[1.0], [2.0], [1.0], [2.0]])
         y = [0, 0, 1, 1]
         assert fs.anova_scores(make_table(X, y)).scores[0] == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.filterwarnings("error")  # numpy warns on a where= without out=
+    def test_constant_feature_scores_zero(self):
+        table = make_table(np.full((6, 1), 3.0), [0, 1] * 3)
+        assert fs.anova_scores(table).scores[0] == 0.0
 
     def test_perfect_separation_sentinel(self):
         X = np.array([[1.0], [1.0], [5.0], [5.0]])
