@@ -9,7 +9,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,25 +32,34 @@ EFFECTIVE_CONFIG = "effective_config.ini"
 
 ADDITIVITY_TOLERANCE = 1e-6
 
-# Config fields a directory's artifacts depend on: prepare reads the [run] and
-# [split] keys, and a resumed pipeline reuses the output of every stage.
-PREPARE_FIELDS = [field for section, _, field, _, _ in SCHEMA
-                  if section in ("run", "split") and field != FIELD.output_dir]
-PIPELINE_FIELDS = [field for _, _, field, _, _ in SCHEMA if field != FIELD.output_dir]
+# Each stage's artifacts, and the config sections they are made under.
+STAGES = {
+    "prepare": ((TRAIN_TABLE, TEST_TABLE, PREPARE_REPORT), ("run", "split")),
+    "train": ((MODEL_FILE, TRAIN_REPORT), ("run", "split", "hyperparams")),
+    "explain": ((SHAP_VALUES, SHAP_BASES, GLOBAL_RANKING), ("run", "split", "hyperparams", "explain")),
+    "select": ((SELECT_REPORT,), ("run", "split", "hyperparams", "explain", "selection")),
+}
 
 
-def _outdir(cfg: RunConfig, fields) -> tuple[RunConfig, Path]:
-    """This run's config and output directory, refused when the directory's
-    recorded config differs in any of ``fields``, since its artifacts are
-    stale. A run without an input CSV takes the recorded one: only prepare
-    reads it."""
+def _outdir(cfg: RunConfig, stage: str | None = None) -> tuple[RunConfig, Path]:
+    """This run's config and output directory, refused when the recorded config
+    differs in a key that an artifact this run keeps was made under: any key for
+    the pipeline (no ``stage``); for a stage, the prepared tables' keys and those
+    of every other stage whose artifacts exist. A run without an input CSV takes
+    the recorded one: only prepare reads it."""
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     recorded = out / EFFECTIVE_CONFIG
     if recorded.exists():
         before = load_config_file(recorded)
         cfg = replace(cfg, input_csv=cfg.input_csv or before.input_csv)
-        changed = [field for field in fields if getattr(before, field) != getattr(cfg, field)]
+        kept = {section for name, (files, sections) in STAGES.items()
+                if stage is None or name == "prepare"
+                or name != stage and any((out / f).exists() for f in files)
+                for section in sections}
+        changed = [field for section, _, field, _, _ in SCHEMA
+                   if section in kept and field != FIELD.output_dir
+                   and getattr(before, field) != getattr(cfg, field)]
         if changed:
             raise ValueError(f"{recorded} records a run with different {', '.join(changed)}; "
                              "use a fresh output directory")
@@ -79,7 +88,7 @@ def cmd_prepare(cfg: RunConfig) -> dict:
     """Parse, clean, split, and persist the train/test tables."""
     if not cfg.input_csv:
         raise ValueError("no input CSV configured")
-    cfg, out = _outdir(cfg, PREPARE_FIELDS)
+    cfg, out = _outdir(cfg, "prepare")
     raw = ingest.load_csv(cfg.input_csv)
     table = ingest.preprocess(raw, drop_columns=set(cfg.drop_columns), label_column=cfg.label_column)
     train_t, test_t = ingest.stratified_split(table, cfg.split_spec())
@@ -114,11 +123,9 @@ def _load_tables(out: Path):
 
 def cmd_train(cfg: RunConfig) -> metrics.EvalReport:
     """Train with inverse-frequency sample weights and report test metrics."""
-    cfg, out = _outdir(cfg, PREPARE_FIELDS)
-    train_t, test_t = _load_tables(out)
-    ens, train_seconds = gbt.train_weighted(train_t, cfg.hyperparams())
+    cfg, out = _outdir(cfg, "train")
+    ens, report = metrics.fit_and_evaluate(*_load_tables(out), cfg.hyperparams())
     gbt.save_model(ens, out / MODEL_FILE)
-    report = metrics.timed_evaluate(ens, test_t, train_seconds=train_seconds)
     _write_json(metrics.report_to_dict(report), out / TRAIN_REPORT)
     write_config_file(cfg, out / EFFECTIVE_CONFIG)
     return report
@@ -131,7 +138,7 @@ def _explained_rows(cfg: RunConfig, train_t, test_t):
 def cmd_explain(cfg: RunConfig) -> explain.ShapMatrix:
     """Attribute margins over the chosen rows, verify additivity, and export
     values and rankings."""
-    cfg, out = _outdir(cfg, PREPARE_FIELDS)
+    cfg, out = _outdir(cfg, "explain")
     ens = gbt.load_model(out / MODEL_FILE)
     table = _explained_rows(cfg, *_load_tables(out))
     shap = explain.tree_shap(ens, table)
@@ -142,7 +149,8 @@ def cmd_explain(cfg: RunConfig) -> explain.ShapMatrix:
             f"attributions miss the margins by {error:.3g}, above {ADDITIVITY_TOLERANCE:g}"
         )
     explain.write_shap_csv(shap, ens.class_names, out / SHAP_VALUES)
-    explain.write_base_values_json(shap, ens.class_names, out / SHAP_BASES)
+    bases = {name: float(shap.base_values[k]) for k, name in enumerate(ens.class_names)}
+    _write_json({"base_values": bases}, out / SHAP_BASES)
     explain.write_ranking_csv(explain.global_importance(shap), out / GLOBAL_RANKING)
     for k, name in enumerate(ens.class_names):
         explain.write_ranking_csv(
@@ -167,73 +175,60 @@ def _shap_ranking(cfg: RunConfig, out: Path, train_t, test_t) -> explain.Importa
     return explain.global_importance(explain.tree_shap(ens, _explained_rows(cfg, train_t, test_t)))
 
 
-def _selection_tables(cfg: RunConfig, train_t, test_t):
-    """Tables the forward pass trains and scores on, per evaluation scope."""
-    if cfg.evaluation_scope == "test":
-        return train_t, test_t
-    return ingest.stratified_split(train_t, cfg.carve_spec())
-
-
 def _run_method(cfg: RunConfig, method: str, out: Path, train_t, test_t) -> selection.SelectionResult:
+    """One method's selection; its ``fit`` is the reduced model trained on the
+    train table and scored on the test table."""
+    hp = cfg.hyperparams()
     if method == "shap":
-        ranking = _shap_ranking(cfg, out, train_t, test_t)
-        sel_train, eval_t = _selection_tables(cfg, train_t, test_t)
-        return selection.forward_select(
-            ranking, sel_train, eval_t, cfg.hyperparams(),
+        # Test scope scores candidate subsets on the final tables, validation
+        # scope on a carve-out of the train table.
+        test_scope = cfg.evaluation_scope == "test"
+        sel_train, eval_t = ((train_t, test_t) if test_scope
+                             else ingest.stratified_split(train_t, cfg.carve_spec()))
+        result = selection.forward_select(
+            _shap_ranking(cfg, out, train_t, test_t), sel_train, eval_t, hp,
             max_candidates=cfg.max_candidates, patience=cfg.patience,
             evaluation_scope=cfg.evaluation_scope,
         )
-    scores = selection.FILTER_SCORERS[method](train_t)
-    selected = selection.filter_select(scores, cfg.k_for_filters)
-    return selection.SelectionResult(
-        trace=[], selected=selected, f1_best=0.0, evaluation_scope="test", method=method,
-    )
-
-
-def _final_model_report(cfg: RunConfig, selected, train_t, test_t):
-    """Retrain on the selected subset with fresh weights; score on test."""
-    ens, train_seconds = gbt.train_weighted(train_t.restrict(selected), cfg.hyperparams())
-    report = metrics.timed_evaluate(ens, test_t.restrict(selected), train_seconds=train_seconds)
-    return ens, report
+        if not test_scope and result.selected:
+            selected = result.selected
+            result.fit = metrics.fit_and_evaluate(train_t.restrict(selected), test_t.restrict(selected), hp)
+        return result
+    selected = selection.filter_select(selection.FILTER_SCORERS[method](train_t), cfg.k_for_filters)
+    fit = metrics.fit_and_evaluate(train_t.restrict(selected), test_t.restrict(selected), hp)
+    return selection.SelectionResult(trace=[], selected=selected, f1_best=fit[1].macro.f1,
+                                     evaluation_scope="test", method=method, fit=fit)
 
 
 def cmd_select(cfg: RunConfig, compare: bool = False) -> dict:
     """Select features, retrain the reduced model, and report test metrics."""
-    cfg, out = _outdir(cfg, PREPARE_FIELDS)
+    cfg, out = _outdir(cfg, "select")
     train_t, test_t = _load_tables(out)
 
-    methods = list(SELECTION_METHODS) if compare else [cfg.method]
-    comparison_rows = []
-    primary_report = None
-    for method in methods:
+    rows = []
+    primary_report = {}
+    for method in list(SELECTION_METHODS) if compare else [cfg.method]:
         result = _run_method(cfg, method, out, train_t, test_t)
-        if result.selected:
-            ens, report = _final_model_report(cfg, result.selected, train_t, test_t)
-        else:
-            ens, report = None, None
-        if method != "shap" and report is not None:
-            result.f1_best = report.macro.f1
         _write_json(selection.selection_to_dict(result), out / _selection_file(method))
-        if method == cfg.method:
-            if ens is not None:
+        if result.fit is None:
+            doc, macro = {"note": "no features selected"}, metrics.Averages(0.0, 0.0, 0.0)
+        else:
+            ens, report = result.fit
+            doc, macro = metrics.report_to_dict(report), report.macro
+            if method == cfg.method:
                 gbt.save_model(ens, out / SELECTED_MODEL)
-            doc = metrics.report_to_dict(report) if report is not None else {"note": "no features selected"}
+        if method == cfg.method:
             doc["selected_features"] = list(result.selected)
             _write_json(doc, out / SELECT_REPORT)
             primary_report = doc
-        if compare:
-            macro = report.macro if report is not None else metrics.Averages(0.0, 0.0, 0.0)
-            comparison_rows.append(
-                (method, ";".join(result.selected), macro.precision, macro.recall, macro.f1)
-            )
+        rows.append([method, ";".join(result.selected), *map(repr, astuple(macro))])
     if compare:
         with open(out / COMPARISON, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["method", "features", "macro_precision", "macro_recall", "macro_f1"])
-            for row in comparison_rows:
-                writer.writerow([row[0], row[1], repr(row[2]), repr(row[3]), repr(row[4])])
+            writer.writerows(rows)
     write_config_file(cfg, out / EFFECTIVE_CONFIG)
-    return primary_report if primary_report is not None else {}
+    return primary_report
 
 
 def _stage_done(out: Path, files) -> bool:
@@ -246,14 +241,11 @@ def cmd_pipeline(cfg: RunConfig, compare: bool = False) -> None:
     Refuses a directory whose recorded configuration differs from this run's
     in anything but the output directory, since its artifacts are stale.
     """
-    cfg, out = _outdir(cfg, PIPELINE_FIELDS)
-    if not _stage_done(out, [TRAIN_TABLE, TEST_TABLE, PREPARE_REPORT]):
-        cmd_prepare(cfg)
-    if not _stage_done(out, [MODEL_FILE, TRAIN_REPORT]):
-        cmd_train(cfg)
-    if not _stage_done(out, [SHAP_VALUES, SHAP_BASES, GLOBAL_RANKING]):
-        cmd_explain(cfg)
-    select_outputs = [_selection_file(cfg.method), SELECT_REPORT]
+    cfg, out = _outdir(cfg)
+    for stage, run in (("prepare", cmd_prepare), ("train", cmd_train), ("explain", cmd_explain)):
+        if not _stage_done(out, STAGES[stage][0]):
+            run(cfg)
+    select_outputs = [_selection_file(cfg.method), *STAGES["select"][0]]
     if compare:
         select_outputs.append(COMPARISON)
     if not _stage_done(out, select_outputs):

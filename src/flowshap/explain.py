@@ -19,7 +19,6 @@ children by cover for everything else.
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass
 
@@ -264,13 +263,6 @@ def write_shap_csv(shap: ShapMatrix, class_names, path) -> None:
         for s, sample in enumerate(shap.values):
             phis = map(repr, sample.reshape(-1).tolist())
             fh.write("".join([f"{s}{mid}{phi}\r\n" for mid, phi in zip(middles, phis)]))
-
-
-def write_base_values_json(shap: ShapMatrix, class_names, path) -> None:
-    doc = {"base_values": {class_names[k]: float(shap.base_values[k]) for k in range(len(class_names))}}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
 
 
 def write_ranking_csv(ranking: ImportanceRanking, path) -> None:

@@ -18,12 +18,11 @@ deterministic for fixed inputs.
 
 import json
 import math
-import time
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .ingest import FlowTable, apply_sample_weights, class_weights
+from .ingest import FlowTable
 
 MODEL_FORMAT_VERSION = 1
 
@@ -299,14 +298,6 @@ def train(train_table: FlowTable, hp: Hyperparams) -> TreeEnsemble:
         class_names=list(train_table.class_names),
         hyperparams=hp,
     )
-
-
-def train_weighted(table: FlowTable, hp: Hyperparams):
-    """Train on ``table`` with its inverse-frequency class weights; (ensemble, seconds)."""
-    weighted = apply_sample_weights(table, class_weights(table.labels, len(table.class_names)))
-    t0 = time.perf_counter()
-    ens = train(weighted, hp)
-    return ens, time.perf_counter() - t0
 
 
 def predict_margins(ens: TreeEnsemble, X: np.ndarray) -> np.ndarray:

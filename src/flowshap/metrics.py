@@ -1,12 +1,13 @@
-"""Confusion-matrix metrics with macro and support-weighted averaging."""
+"""Confusion-matrix metrics with macro and support-weighted averaging, and
+the one route from a pair of tables to a fitted, scored model."""
 
 import time
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .gbt import TreeEnsemble, predict_classes
-from .ingest import FlowTable
+from . import gbt
+from .ingest import FlowTable, apply_sample_weights, class_weights
 
 
 @dataclass
@@ -122,19 +123,28 @@ def evaluate_predictions(y_true, y_pred, class_names,
     )
 
 
-def timed_evaluate(ens: TreeEnsemble, test: FlowTable, train_seconds: float = 0.0) -> EvalReport:
+def timed_evaluate(ens: gbt.TreeEnsemble, test: FlowTable, train_seconds: float = 0.0) -> EvalReport:
     """Predict the whole table, timing the prediction pass."""
     if list(test.feature_names) != list(ens.feature_names):
         raise ValueError("table features do not match the model")
     if list(test.class_names) != list(ens.class_names):
         raise ValueError("table classes do not match the model")
     t0 = time.perf_counter()
-    y_pred = predict_classes(ens, test.features)
+    y_pred = gbt.predict_classes(ens, test.features)
     predict_seconds = time.perf_counter() - t0
     return evaluate_predictions(
         test.labels, y_pred, test.class_names,
         train_seconds=train_seconds, predict_seconds=predict_seconds,
     )
+
+
+def fit_and_evaluate(train: FlowTable, test: FlowTable, hp: gbt.Hyperparams):
+    """Fit on ``train`` with its inverse-frequency class weights and score on
+    ``test``; (ensemble, report), with the fit and the prediction timed."""
+    weighted = apply_sample_weights(train, class_weights(train.labels, len(train.class_names)))
+    t0 = time.perf_counter()
+    ens = gbt.train(weighted, hp)
+    return ens, timed_evaluate(ens, test, train_seconds=time.perf_counter() - t0)
 
 
 def report_to_dict(report: EvalReport) -> dict:

@@ -6,7 +6,7 @@ it strictly improves macro F1 on the evaluation table. Filter scorers
 (correlation, chi-square, ANOVA F) rank features by a model-free statistic.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,6 +31,9 @@ class SelectionResult:
     f1_best: float
     evaluation_scope: str
     method: str
+    # (ensemble, report) of the selected subset on the training and evaluation
+    # tables, or None when nothing is selected; not in the selection document.
+    fit: tuple | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -87,12 +90,13 @@ def forward_select(ranking: ImportanceRanking, train: FlowTable, eval_table: Flo
     if set(eval_table.feature_names) != train_features or list(eval_table.class_names) != list(train.class_names):
         raise SchemaError("evaluation table schema does not match training table")
 
-    K = len(train.class_names)
+    fits = {}  # subset -> fit, for the current selection and the trial in flight
 
     def evaluate(subset):
-        ens, _ = gbt.train_weighted(train.restrict(subset), hp)
-        y_pred = gbt.predict_classes(ens, eval_table.restrict(subset).features)
-        return metrics.macro_f1(eval_table.labels, y_pred, K)
+        for stale in fits.keys() - {tuple(subset[:-1])}:  # a trial extends the selection by one
+            del fits[stale]
+        fits[tuple(subset)] = metrics.fit_and_evaluate(train.restrict(subset), eval_table.restrict(subset), hp)
+        return fits[tuple(subset)][1].macro.f1
 
     trace, selected, f1_best = run_forward_pass(names, evaluate, max_candidates, patience)
     return SelectionResult(
@@ -101,6 +105,7 @@ def forward_select(ranking: ImportanceRanking, train: FlowTable, eval_table: Flo
         f1_best=f1_best,
         evaluation_scope=evaluation_scope,
         method="shap",
+        fit=fits.get(tuple(selected)),
     )
 
 

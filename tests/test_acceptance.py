@@ -202,7 +202,7 @@ def test_planted_feature_recovery():
 
 
 def _strip_timing(path):
-    doc = json.loads(open(path, encoding="utf-8").read())
+    doc = json.loads(path.read_text(encoding="utf-8"))
     doc.pop("timing", None)
     return json.dumps(doc, sort_keys=True)
 

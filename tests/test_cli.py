@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import flowshap as fs
-from flowshap import cli
+from flowshap import cli, gbt
 from flowshap.config import RunConfig, load_config_file, write_config_file
 
 from conftest import replay_forward_trace, write_flow_csv
@@ -90,9 +90,9 @@ class TestTrain:
     def test_rerun_is_byte_identical(self, prepared):
         cfg, _, _ = prepared
         cli.cmd_train(cfg)
-        first = open(f"{cfg.output_dir}/{cli.MODEL_FILE}", "rb").read()
+        first = Path(f"{cfg.output_dir}/{cli.MODEL_FILE}").read_bytes()
         cli.cmd_train(cfg)
-        second = open(f"{cfg.output_dir}/{cli.MODEL_FILE}", "rb").read()
+        second = Path(f"{cfg.output_dir}/{cli.MODEL_FILE}").read_bytes()
         assert first == second
 
     def test_zero_rounds_report_well_formed(self, prepared):
@@ -132,7 +132,8 @@ class TestExplain:
         ens = fs.load_model(f"{cfg.output_dir}/{cli.MODEL_FILE}")
         for k, name in enumerate(ens.class_names):
             path = f"{cfg.output_dir}/{cli._class_ranking_file(k, name)}"
-            rows = list(csv.DictReader(open(path, newline="")))
+            with open(path, newline="") as fh:
+                rows = list(csv.DictReader(fh))
             assert len(rows) == 77
 
     def test_global_ranking_matches_export_recomputation(self, prepared):
@@ -152,7 +153,8 @@ class TestExplain:
         for (cname, feature), vals in by_class_feature.items():
             totals[feature] = totals.get(feature, 0.0) + sum(vals) / len(counts)
         expected = sorted(totals.items(), key=lambda kv: (-kv[1], kv[0]))
-        got = list(csv.DictReader(open(f"{out}/{cli.GLOBAL_RANKING}", newline="")))
+        with open(f"{out}/{cli.GLOBAL_RANKING}", newline="") as fh:
+            got = list(csv.DictReader(fh))
         assert [r["feature"] for r in got] == [name for name, _ in expected]
         for row, (_, score) in zip(got, expected):
             assert float(row["score"]) == pytest.approx(score, rel=1e-9)
@@ -199,12 +201,34 @@ class TestSelect:
         doc = read_json(f"{cfg.output_dir}/{cli._selection_file('shap')}")
         assert doc["evaluation_scope"] == "test"
 
+    def test_test_scope_reuses_the_pass_fit(self, prepared, monkeypatch):
+        cfg, _, _ = prepared
+        cli.cmd_train(cfg)
+        cli.cmd_explain(cfg)
+        calls = []
+
+        def counted_train(*args, **kwargs):
+            calls.append(args)
+            return fs.train(*args, **kwargs)
+
+        monkeypatch.setattr(gbt, "train", counted_train)
+        cli.cmd_select(replace(cfg, evaluation_scope="test"))
+        doc = read_json(f"{cfg.output_dir}/{cli._selection_file('shap')}")
+        assert doc["selected"]
+        assert len(calls) == len(doc["trace"])
+        # the reduced model is the one a fresh class-weighted fit on the selection gives
+        train_t = fs.load_table(f"{cfg.output_dir}/{cli.TRAIN_TABLE}").restrict(doc["selected"])
+        weighted = fs.apply_sample_weights(train_t, fs.class_weights(train_t.labels, len(train_t.class_names)))
+        expected = fs.serialize(fs.train(weighted, cfg.hyperparams()))
+        assert Path(f"{cfg.output_dir}/{cli.SELECTED_MODEL}").read_bytes() == expected
+
     def test_compare_writes_table(self, prepared):
         cfg, _, _ = prepared
         cli.cmd_train(cfg)
         cli.cmd_explain(cfg)
         cli.cmd_select(replace(cfg, k_for_filters=5), compare=True)
-        rows = list(csv.DictReader(open(f"{cfg.output_dir}/{cli.COMPARISON}", newline="")))
+        with open(f"{cfg.output_dir}/{cli.COMPARISON}", newline="") as fh:
+            rows = list(csv.DictReader(fh))
         assert [r["method"] for r in rows] == ["shap", "correlation", "chi_square", "anova"]
         for row in rows:
             assert 0.0 <= float(row["macro_f1"]) <= 1.0
@@ -307,6 +331,55 @@ class TestPipeline:
         assert [path.read_bytes() for path in kept] == before
         assert cli.main(["prepare", "--config", str(config), "--seed", "1"]) == 0
 
+    @staticmethod
+    def write_config(tmp_path, name, extra=""):
+        """A small run config over tmp_path/flows.csv into tmp_path/out."""
+        path = tmp_path / name
+        path.write_text(
+            f"[run]\ninput_csv = {tmp_path / 'flows.csv'}\noutput_dir = {tmp_path / 'out'}\n"
+            "[selection]\nmax_candidates = 3\n" + extra,
+            encoding="utf-8",
+        )
+        return path
+
+    def test_stage_that_would_leave_later_artifacts_stale_is_refused(self, tmp_path, capsys):
+        write_flow_csv(tmp_path / "flows.csv", {"Benign": 40, "Recon": 20}, seed=2)
+        a = self.write_config(tmp_path, "a.ini", "[hyperparams]\nn_estimators = 2\nmax_depth = 2\n")
+        b = self.write_config(tmp_path, "b.ini", "[hyperparams]\nn_estimators = 3\nmax_depth = 2\n")
+        assert cli.main(["pipeline", "--config", str(a)]) == 0
+        out = tmp_path / "out"
+        kept = [out / name for name in (cli.EFFECTIVE_CONFIG, cli.MODEL_FILE, cli.SHAP_VALUES)]
+        before = [path.read_bytes() for path in kept]
+        capsys.readouterr()
+        for command in ("train", "pipeline"):
+            assert cli.main([command, "--config", str(b)]) == 1
+            lines = capsys.readouterr().err.splitlines()
+            assert len(lines) == 1
+            assert "different n_estimators;" in json.loads(lines[0])["message"]
+        assert [path.read_bytes() for path in kept] == before
+
+    def test_explain_under_other_rows_after_select_is_refused(self, tmp_path, capsys):
+        write_flow_csv(tmp_path / "flows.csv", {"Benign": 40, "Recon": 20}, seed=2)
+        hyper = "[hyperparams]\nn_estimators = 2\nmax_depth = 2\n"
+        a = self.write_config(tmp_path, "a.ini", hyper)
+        c = self.write_config(tmp_path, "c.ini", hyper + "[explain]\nrows = train\n")
+        assert cli.main(["pipeline", "--config", str(a)]) == 0
+        recorded = tmp_path / "out" / cli.EFFECTIVE_CONFIG
+        before = recorded.read_bytes()
+        capsys.readouterr()
+        assert cli.main(["explain", "--config", str(c)]) == 1
+        assert "different explain_rows;" in json.loads(capsys.readouterr().err)["message"]
+        assert recorded.read_bytes() == before
+
+    def test_select_with_another_method_after_a_pipeline_runs(self, tmp_path):
+        write_flow_csv(tmp_path / "flows.csv", {"Benign": 40, "Recon": 20}, seed=2)
+        a = self.write_config(tmp_path, "a.ini", "[hyperparams]\nn_estimators = 2\nmax_depth = 2\n")
+        assert cli.main(["pipeline", "--config", str(a)]) == 0
+        assert cli.main(["select", "--config", str(a), "--method", "anova"]) == 0
+        doc = read_json(tmp_path / "out" / cli._selection_file("anova"))
+        assert doc["method"] == "anova"
+        assert load_config_file(tmp_path / "out" / cli.EFFECTIVE_CONFIG).method == "anova"
+
     def test_readme_stage_commands_run_without_input(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         write_flow_csv(tmp_path / "flows.csv", {"Benign": 40, "Recon": 20}, seed=2)
@@ -334,8 +407,8 @@ class TestConfigFile:
         rerun_dir = tmp_path / "rerun"
         rerun = replace(loaded, output_dir=str(rerun_dir))
         cli.cmd_prepare(rerun)
-        first = open(f"{cfg.output_dir}/{cli.PREPARE_REPORT}", "rb").read()
-        second = open(f"{rerun_dir}/{cli.PREPARE_REPORT}", "rb").read()
+        first = Path(f"{cfg.output_dir}/{cli.PREPARE_REPORT}").read_bytes()
+        second = Path(f"{rerun_dir}/{cli.PREPARE_REPORT}").read_bytes()
         assert first == second
 
     def test_precedence_flags_over_file_over_defaults(self, tmp_path):

@@ -1,9 +1,12 @@
 """Tests for forward selection and the filter-method baselines."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import flowshap as fs
+from flowshap import metrics
 from flowshap.selection import ANOVA_SENTINEL
 
 from conftest import make_table, replay_forward_trace
@@ -116,6 +119,20 @@ class TestForwardSelect:
         assert a.selected == b.selected
         assert a.trace == b.trace
         assert a.f1_best == b.f1_best
+
+    def test_fit_is_a_fresh_fit_of_the_selection(self):
+        train, test = planted_tables(seed=5)
+        hp = fs.Hyperparams(n_estimators=3, max_depth=2)
+        result = fs.forward_select(self.make_ranking(train), train, test, hp)
+        assert result.selected
+        ens, report = result.fit
+        fresh_ens, fresh_report = metrics.fit_and_evaluate(
+            train.restrict(result.selected), test.restrict(result.selected), hp
+        )
+        assert fs.serialize(ens) == fs.serialize(fresh_ens)
+        untimed = {"train_seconds": 0.0, "predict_seconds": 0.0}
+        assert replace(report, **untimed) == replace(fresh_report, **untimed)
+        assert report.macro.f1 == result.f1_best
 
     def test_ranking_must_cover_features(self):
         train, test = planted_tables(seed=1)
