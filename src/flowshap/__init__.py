@@ -12,6 +12,7 @@ from .ingest import (
     load_csv,
     load_table,
     preprocess,
+    read_flow_csv,
     save_table,
     stratified_split,
 )

@@ -89,15 +89,15 @@ def cmd_prepare(cfg: RunConfig) -> dict:
     if not cfg.input_csv:
         raise ValueError("no input CSV configured")
     cfg, out = _outdir(cfg, "prepare")
-    raw = ingest.load_csv(cfg.input_csv)
-    table = ingest.preprocess(raw, drop_columns=set(cfg.drop_columns), label_column=cfg.label_column)
+    table, rows_in = ingest.read_flow_csv(cfg.input_csv, drop_columns=set(cfg.drop_columns),
+                                          label_column=cfg.label_column)
     train_t, test_t = ingest.stratified_split(table, cfg.split_spec())
     cw = ingest.class_weights(train_t.labels, len(table.class_names))
     ingest.save_table(train_t, out / TRAIN_TABLE)
     ingest.save_table(test_t, out / TEST_TABLE)
     report = {
-        "rows_in": raw.row_count,
-        "rows_dropped": raw.row_count - table.n_rows,
+        "rows_in": rows_in,
+        "rows_dropped": rows_in - table.n_rows,
         "features_kept": table.n_features,
         "train_rows": train_t.n_rows,
         "test_rows": test_t.n_rows,
@@ -204,10 +204,15 @@ def cmd_select(cfg: RunConfig, compare: bool = False) -> dict:
     """Select features, retrain the reduced model, and report test metrics."""
     cfg, out = _outdir(cfg, "select")
     train_t, test_t = _load_tables(out)
+    methods = list(SELECTION_METHODS) if compare else [cfg.method]
+    # An earlier run's selection artifacts that this one might not rewrite.
+    for name in [SELECTED_MODEL, *([] if compare else [COMPARISON]),
+                 *(_selection_file(m) for m in SELECTION_METHODS if m not in methods)]:
+        (out / name).unlink(missing_ok=True)
 
     rows = []
     primary_report = {}
-    for method in list(SELECTION_METHODS) if compare else [cfg.method]:
+    for method in methods:
         result = _run_method(cfg, method, out, train_t, test_t)
         _write_json(selection.selection_to_dict(result), out / _selection_file(method))
         if result.fit is None:

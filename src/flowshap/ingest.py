@@ -8,6 +8,7 @@ produces dense float64 feature tables with per-row sample weights.
 import csv
 import math
 from dataclasses import dataclass, replace
+from itertools import chain, compress, islice, zip_longest
 from operator import itemgetter
 
 import numpy as np
@@ -27,9 +28,12 @@ DEFAULT_DROP_COLUMNS = (
 
 DEFAULT_LABEL_COLUMN = "Stage"
 
+# Rows parsed at a time: the cell text of one chunk is all the CSV text held.
+PARSE_CHUNK_ROWS = 1024
+
 
 class ParseError(ValueError):
-    """Malformed CSV input (missing header, ragged row)."""
+    """Malformed CSV input (missing header, ragged row, rows changed between reads)."""
 
 
 class SchemaError(ValueError):
@@ -126,31 +130,30 @@ class SplitSpec:
             raise ValueError("train_fraction must lie in (0, 1)")
 
 
-def load_csv(path) -> RawTable:
-    """Read a header-first CSV into raw text cells, preserving row order."""
+def _read_rows(path):
+    """Yield a header-first CSV's stripped header names, then each data row as
+    raw text cells in file order. A byte-order mark is dropped and blank lines
+    are skipped; a row of another width raises ``ParseError`` naming its line."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: missing header") from None
+        header = next(reader, None)
         if not header or all(c.strip() == "" for c in header):
             raise ParseError(f"{path}: missing header")
         names = [c.strip() for c in header]
         dupes = sorted({n for n in names if names.count(n) > 1})
         if dupes:
             raise SchemaError(f"{path}: duplicate header names: {dupes}")
-        rows = []
-        width = len(names)
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != width:
-                raise ParseError(
-                    f"{path}: line {reader.line_num}: expected {width} cells, got {len(row)}"
-                )
-            rows.append(row)
-    return RawTable(column_names=names, rows=rows)
+        yield names
+        for row in filter(None, reader):
+            if len(row) != len(names):
+                raise ParseError(f"{path}: line {reader.line_num}: expected {len(names)} cells, got {len(row)}")
+            yield row
+
+
+def load_csv(path) -> RawTable:
+    """Read a header-first CSV into raw text cells, preserving row order."""
+    rows = _read_rows(path)
+    return RawTable(column_names=next(rows), rows=list(rows))
 
 
 def _parse_cell(text: str):
@@ -183,6 +186,12 @@ def _parse_column(rows, c: int):
     return values, missing & ~text, text
 
 
+def read_flow_csv(path, drop_columns=None, label_column=DEFAULT_LABEL_COLUMN) -> tuple[FlowTable, int]:
+    """``preprocess(load_csv(path))`` and the number of data rows read, holding
+    the cell text of at most ``PARSE_CHUNK_ROWS`` rows at a time."""
+    return _parse_table(lambda: _read_rows(path), drop_columns, label_column)
+
+
 def preprocess(raw: RawTable, drop_columns=None, label_column: str = DEFAULT_LABEL_COLUMN) -> FlowTable:
     """Drop identifier columns, purge non-finite rows, and label-encode.
 
@@ -190,53 +199,69 @@ def preprocess(raw: RawTable, drop_columns=None, label_column: str = DEFAULT_LAB
     removed entirely; remaining categorical columns (and the label) are
     integer-coded by lexicographic order of their distinct values.
     """
+    return _parse_table(lambda: chain([raw.column_names], raw.rows), drop_columns, label_column)[0]
+
+
+def _parse_table(read, drop_columns, label_column: str) -> tuple[FlowTable, int]:
+    """``preprocess`` of ``read()`` (the header names, then the rows) and its row
+    count; ``read`` is called a second time only if a text column survives."""
+    rows = read()
+    names = next(rows)
     drops = set(DEFAULT_DROP_COLUMNS if drop_columns is None else drop_columns)
-    if label_column not in raw.column_names:
+    if label_column not in names:
         raise SchemaError(f"label column {label_column!r} not found")
     if label_column in drops:
         raise SchemaError(f"label column {label_column!r} cannot be dropped")
-    unknown = sorted(drops - set(raw.column_names))
+    unknown = sorted(drops - set(names))
     if unknown:
         raise SchemaError(f"drop columns not present: {unknown}")
 
-    col_index = {name: i for i, name in enumerate(raw.column_names)}
-    kept = [c for c in raw.column_names if c not in drops and c != label_column]
+    col_index = {name: i for i, name in enumerate(names)}
+    kept = [c for c in names if c not in drops and c != label_column]
     kept_cols = [col_index[c] for c in kept]
     label_idx = col_index[label_column]
-    rows = raw.rows
 
-    # Parse each retained column once; a row survives only if no retained
-    # cell (label included) is null.
-    features = np.empty((len(rows), len(kept)), dtype=np.float64)
-    is_text = np.empty((len(rows), len(kept)), dtype=bool)
-    keep = ~_parse_column(rows, label_idx)[1]
-    for j, c in enumerate(kept_cols):
-        features[:, j], null, is_text[:, j] = _parse_column(rows, c)
-        keep &= ~null
-    kept_rows = np.flatnonzero(keep)
-    if not kept_rows.size:
+    # Parse chunk by chunk; a row survives only if no retained cell (label
+    # included) is null. Of a chunk's text, only surviving label cells outlive it.
+    blocks, keeps, label_values = [], [], []
+    has_text = np.zeros(len(kept), dtype=bool)
+    while chunk := list(islice(rows, PARSE_CHUNK_ROWS)):
+        values = np.empty((len(chunk), len(kept)), dtype=np.float64)
+        is_text = np.empty((len(chunk), len(kept)), dtype=bool)
+        keep = ~_parse_column(chunk, label_idx)[1]
+        for j, c in enumerate(kept_cols):
+            values[:, j], null, is_text[:, j] = _parse_column(chunk, c)
+            keep &= ~null
+        blocks.append(values[keep])
+        keeps.append(keep)
+        has_text |= is_text[keep].any(axis=0)
+        label_values += [row[label_idx].strip() for row in compress(chunk, keep)]
+    if not label_values:
         raise ValueError("empty table after preprocessing")
-    features = features[kept_rows]
+    features = np.concatenate(blocks)
+    del blocks
 
     # A column is numeric iff no surviving cell is categorical text; text
-    # columns are coded from the original stripped cell text.
-    for j in np.flatnonzero(is_text[kept_rows].any(axis=0)):
-        values = [rows[i][kept_cols[j]].strip() for i in kept_rows]
-        codes = {v: k for k, v in enumerate(sorted(set(values)))}
-        features[:, j] = [codes[v] for v in values]
+    # columns are coded from the original stripped cell text, read again.
+    text_cols = np.flatnonzero(has_text)
+    if text_cols.size:
+        source_cols = [kept_cols[j] for j in text_cols]
+        picked = []
+        for row, survives in zip_longest(islice(read(), 1, None), np.concatenate(keeps).tolist()):
+            if row is None or survives is None:
+                raise ParseError("input changed between its two reads: the row count differs")
+            if survives:
+                picked.append([row[c].strip() for c in source_cols])
+        for j, column in zip(text_cols, zip(*picked)):
+            codes = {v: k for k, v in enumerate(sorted(set(column)))}
+            features[:, j] = [codes[v] for v in column]
 
-    label_values = [rows[i][label_idx].strip() for i in kept_rows]
     class_names = sorted(set(label_values))
     encoder = {name: k for k, name in enumerate(class_names)}
     labels = np.array([encoder[v] for v in label_values], dtype=np.int64)
 
-    return FlowTable(
-        feature_names=kept,
-        features=features,
-        labels=labels,
-        class_names=class_names,
-        sample_weights=np.ones(len(kept_rows), dtype=np.float64),
-    )
+    return FlowTable(feature_names=kept, features=features, labels=labels, class_names=class_names,
+                     sample_weights=np.ones(len(labels))), sum(map(len, keeps))
 
 
 def _train_count(fraction: float, count: int) -> int:

@@ -380,6 +380,33 @@ class TestPipeline:
         assert doc["method"] == "anova"
         assert load_config_file(tmp_path / "out" / cli.EFFECTIVE_CONFIG).method == "anova"
 
+    def test_select_leaves_no_selection_files_of_another_run(self, tmp_path):
+        write_flow_csv(tmp_path / "flows.csv", {"Benign": 40, "Recon": 20}, seed=2)
+        a = self.write_config(tmp_path, "a.ini", "[hyperparams]\nn_estimators = 2\nmax_depth = 2\n")
+        out = tmp_path / "out"
+        filters = ("correlation", "chi_square", "anova")
+        assert cli.main(["pipeline", "--config", str(a), "--compare", "--k", "12"]) == 0
+        assert all(len(read_json(out / cli._selection_file(m))["selected"]) == 12 for m in filters)
+        assert cli.main(["select", "--config", str(a), "--k", "5"]) == 0
+        assert not any((out / cli._selection_file(m)).exists() for m in filters)
+        assert not (out / cli.COMPARISON).exists()
+        assert cli.main(["pipeline", "--config", str(a), "--compare", "--k", "5"]) == 0
+        assert all(len(read_json(out / cli._selection_file(m))["selected"]) == 5 for m in filters)
+        with open(out / cli.COMPARISON, newline="", encoding="utf-8") as fh:
+            rows = {r["method"]: r["features"].split(";") for r in csv.DictReader(fh)}
+        assert all(len(rows[m]) == 5 for m in filters)
+
+    def test_select_that_selects_nothing_leaves_no_reduced_model(self, prepared, monkeypatch):
+        cfg, _, _ = prepared
+        cli.cmd_pipeline(cfg)
+        reduced = Path(cfg.output_dir) / cli.SELECTED_MODEL
+        assert reduced.exists()
+        monkeypatch.setattr(cli.selection, "forward_select",
+                            lambda *a, **k: fs.SelectionResult([], [], 0.0, "validation", "shap"))
+        cli.cmd_select(cfg)
+        assert read_json(Path(cfg.output_dir) / cli.SELECT_REPORT)["note"] == "no features selected"
+        assert not reduced.exists()
+
     def test_readme_stage_commands_run_without_input(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         write_flow_csv(tmp_path / "flows.csv", {"Benign": 40, "Recon": 20}, seed=2)

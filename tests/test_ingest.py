@@ -1,6 +1,8 @@
 """Tests for CSV loading, preprocessing, splitting, and class weighting."""
 
+import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -140,8 +142,7 @@ class TestPreprocessMatchesRowWiseRule:
     CELLS = ["1", " 2.5 ", "-0", "1e3", "10", "9", "x", " y ", "TCP", "", " ", "NaN",
              "inf", "-Infinity", "1e400", "\x1c1"]
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_random_mixed_table(self, seed):
+    def mixed_table(self, seed):
         rng = np.random.default_rng(seed)
         # Column 0 is numeric, column 1 has text only where another cell is null,
         # the others draw from every kind of cell.
@@ -153,12 +154,124 @@ class TestPreprocessMatchesRowWiseRule:
             if row[1] == "t":
                 row[0] = ""
             rows.append([str(c) for c in row])
-        raw = fs.RawTable(column_names=["n", "late_text", "m1", "m2", "m3", "Stage"], rows=rows)
+        return fs.RawTable(column_names=["n", "late_text", "m1", "m2", "m3", "Stage"], rows=rows)
+
+    @staticmethod
+    def assert_matches(table, raw):
         names, features, label_text = _row_wise_preprocess(raw, "Stage")
-        table = fs.preprocess(raw, drop_columns=set(), label_column="Stage")
         assert table.feature_names == names
         assert table.features.tobytes() == features.tobytes()
         assert [table.class_names[k] for k in table.labels] == label_text
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_mixed_table(self, seed):
+        raw = self.mixed_table(seed)
+        self.assert_matches(fs.preprocess(raw, drop_columns=set(), label_column="Stage"), raw)
+
+    @pytest.mark.parametrize("chunk_rows", [1, 2, 3, 7])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_mixed_table_in_chunks(self, tmp_path, monkeypatch, seed, chunk_rows):
+        raw = self.mixed_table(seed)
+        path = tmp_path / "mixed.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([raw.column_names, *raw.rows])
+        monkeypatch.setattr(fs.ingest, "PARSE_CHUNK_ROWS", chunk_rows)
+        table = fs.preprocess(raw, drop_columns=set(), label_column="Stage")
+        streamed, rows_in = fs.read_flow_csv(path, drop_columns=set(), label_column="Stage")
+        assert rows_in == raw.row_count
+        self.assert_matches(table, raw)
+        self.assert_matches(streamed, raw)
+
+
+def _same_table(a, b):
+    assert a.feature_names == b.feature_names
+    assert a.features.tobytes() == b.features.tobytes()
+    assert a.class_names == b.class_names
+    assert a.labels.tobytes() == b.labels.tobytes()
+    assert a.sample_weights.tobytes() == b.sample_weights.tobytes()
+
+
+class TestReadFlowCsv:
+    def test_equals_preprocess_of_load_csv(self, tmp_path):
+        path = tmp_path / "flows.csv"
+        write_flow_csv(path, {"Benign": 700, "Pivoting": 400, "Recon": 300}, seed=4, dirty_rows=9)
+        raw = fs.load_csv(path)
+        table, rows_in = fs.read_flow_csv(path)
+        _same_table(table, fs.preprocess(raw))
+        assert rows_in == raw.row_count == 1409
+        assert table.n_rows == 1400
+
+    @pytest.mark.parametrize("chunk_rows", [1, 2, 3, 7])
+    def test_text_after_the_first_chunk_codes_its_numeric_looking_cells(
+            self, tmp_path, monkeypatch, chunk_rows):
+        monkeypatch.setattr(fs.ingest, "PARSE_CHUNK_ROWS", chunk_rows)
+        cells = ["1.50", "1.5", " 1.5", "2", "2.0", "2", "2", "1.50", "TCP"]
+        path = _write(tmp_path / "t.csv", "p,Stage\n" + "".join(f"{c},a\n" for c in cells))
+        table, rows_in = fs.read_flow_csv(path, drop_columns=set())
+        # codes of the sorted stripped text: 1.5, 1.50, 2, 2.0, TCP
+        assert table.features[:, 0].tolist() == [1.0, 0.0, 0.0, 2.0, 3.0, 2.0, 2.0, 1.0, 4.0]
+        assert rows_in == len(cells)
+        _same_table(fs.preprocess(fs.load_csv(path), drop_columns=set()), table)
+
+    def test_bom_blank_lines_and_dirty_rows_on_chunk_boundaries(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(fs.ingest, "PARSE_CHUNK_ROWS", 2)
+        # two-row chunks: [1, Infinity] [NaN, 3] [4, 5] [6]
+        lines = ["x,Stage", "1,a", "", "Infinity,b", "NaN,a", "3,b", "", "", "4,", "5,a", "6,b"]
+        path = tmp_path / "bom.csv"
+        path.write_bytes(("\ufeff" + "\r\n".join(lines) + "\r\n").encode("utf-8"))
+        table, rows_in = fs.read_flow_csv(path, drop_columns=set())
+        assert table.feature_names == ["x"]
+        assert table.features[:, 0].tolist() == [1.0, 3.0, 5.0, 6.0]
+        assert [table.class_names[k] for k in table.labels] == ["a", "b", "a", "b"]
+        assert rows_in == 7
+        _same_table(fs.preprocess(fs.load_csv(path), drop_columns=set()), table)
+
+    def test_ragged_row_names_the_same_line_as_load_csv(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(fs.ingest, "PARSE_CHUNK_ROWS", 2)
+        path = _write(tmp_path / "ragged.csv", "x,Stage\n1,a\n\n2,b\n3,a\n\n4\n5,b\n")
+        with pytest.raises(fs.ParseError, match="line 7:") as loaded:
+            fs.load_csv(path)
+        with pytest.raises(fs.ParseError) as streamed:
+            fs.read_flow_csv(path, drop_columns=set())
+        assert str(streamed.value) == str(loaded.value)
+
+    @pytest.mark.parametrize("text", ["x,Stage\n", "\ufeffx,Stage\n\n\n"], ids=["plain", "bom-blank-lines"])
+    def test_header_only_file_is_an_empty_table(self, tmp_path, text):
+        path = _write(tmp_path / "h.csv", text)
+        with pytest.raises(ValueError, match="empty table after preprocessing"):
+            fs.read_flow_csv(path, drop_columns=set())
+
+    @pytest.mark.parametrize("rewritten", ["p,Stage\nTCP,a\n", "p,Stage\nTCP,a\n1,b\n2,b\n"],
+                             ids=["fewer-rows", "more-rows"])
+    def test_input_changed_between_reads_is_refused(self, tmp_path, monkeypatch, rewritten):
+        path = _write(tmp_path / "t.csv", "p,Stage\nTCP,a\n1,b\n")
+        read_rows = fs.ingest._read_rows
+        calls = []
+
+        def rewriting(p):
+            calls.append(p)
+            if len(calls) == 2:  # the read of the text column's cells
+                _write(path, rewritten)
+            return read_rows(p)
+
+        monkeypatch.setattr(fs.ingest, "_read_rows", rewriting)
+        with pytest.raises(fs.ParseError, match="changed between its two reads"):
+            fs.read_flow_csv(path, drop_columns=set())
+        assert len(calls) == 2
+
+    def test_peak_memory_follows_the_table(self, tmp_path):
+        # On 5k rows the peak is about 5x the feature matrix; parsing the whole
+        # file into text cells first, as load_csv does, costs about 12.5x.
+        path = tmp_path / "flows.csv"
+        write_flow_csv(path, {"Benign": 3000, "Attack": 2000}, seed=3, dirty_rows=50)
+        tracemalloc.start()
+        try:
+            table, _ = fs.read_flow_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.n_rows == 5000
+        assert peak < 8 * table.features.nbytes
 
 class TestSaveLoadTable:
     def test_lossless_round_trip(self, tmp_path):
