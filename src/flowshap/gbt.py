@@ -6,14 +6,19 @@ distinct sorted feature values is scored with the second-order gain
     gain = 1/2 * [ T(GL)^2/(HL+lambda) + T(GR)^2/(HR+lambda)
                    - T(GL+GR)^2/(HL+HR+lambda) ] - gamma
 
-where T is the L1 soft-threshold applied when alpha > 0. ``train`` sorts
-each feature once; a child node keeps the entries of its parent's sorted rows
-that go its way, which is the stable sort of its own rows. A node scores its
-features in blocks of SPLIT_BLOCK_ELEMENTS // rows, with one cumulative sum
-per statistic for the whole block; the first maximum in feature-major order
-wins, so ties go to the lower feature index, then the lower threshold. Leaf
-values are -T(G)/(H+lambda) scaled by the learning rate. Training is fully
-deterministic for fixed inputs.
+where T is the L1 soft-threshold applied when alpha > 0. ``train`` leaves out
+the columns that are constant over its table, which have no boundary, and
+sorts each other feature once. A node whose hessian sum H has
+H - min_child_weight < min_child_weight is a leaf without a search, since a
+left child with HL >= min_child_weight leaves H - HL below it. Any other node
+scores its features in blocks of SPLIT_BLOCK_ELEMENTS // rows, with one
+cumulative sum per statistic for the whole block; the first maximum in
+feature-major order wins, so ties go to the lower feature index, then the
+lower threshold. The winning feature's sorted rows up to the boundary are the
+left child, and each child keeps the entries of its parent's sorted rows that
+go its way, which is the stable sort of its own rows. Leaf values are
+-T(G)/(H+lambda) scaled by the learning rate. Training is fully deterministic
+for fixed inputs.
 """
 
 import json
@@ -48,6 +53,9 @@ class Hyperparams:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type is int and type(getattr(self, f.name)) is not int:
+                raise ValueError(f"{f.name} must be an integer")
         if self.n_estimators < 0:
             raise ValueError("n_estimators must be nonnegative")
         if not 0.0 < self.learning_rate <= 1.0:
@@ -164,9 +172,9 @@ def _soft_threshold(g, alpha: float):
 
 
 def _gain_terms(G, H, hp: Hyperparams):
-    Gt = _soft_threshold(np.asarray(G, dtype=np.float64), hp.reg_alpha)
-    denom = np.asarray(H, dtype=np.float64) + hp.reg_lambda
-    return np.divide(Gt * Gt, denom, out=np.zeros_like(denom), where=denom > 0)
+    Gt = _soft_threshold(G, hp.reg_alpha)
+    denom = H + hp.reg_lambda
+    return np.divide(Gt * Gt, denom, out=np.zeros(np.shape(denom)), where=denom > 0)
 
 
 def split_gain(GL: float, HL: float, GR: float, HR: float, hp: Hyperparams) -> float:
@@ -187,34 +195,38 @@ def _best_split(XT, idx, g, h, G, H, hp: Hyperparams):
     a node: row f of ``idx`` holds its rows sorted by feature f (row f of XT),
     and G and H are its gradient and hessian sums.
 
-    Returns (feature_index, threshold, gain) or None. Ties go to the lower
-    feature index, then the lower threshold.
+    Returns (feature_index, threshold, gain, i) or None; the rows at
+    ``idx[feature_index, : i + 1]`` go left. Ties go to the lower feature
+    index, then the lower threshold.
     """
-    if idx.shape[1] < 2:
+    mcw = hp.min_child_weight
+    if idx.shape[1] < 2 or H - mcw < mcw:  # HL >= mcw implies H - HL < mcw
         return None
-    parent = _gain_terms(G, H, hp)
+    parent = float(_gain_terms(G, H, hp))
     width = max(1, SPLIT_BLOCK_ELEMENTS // idx.shape[1])
     best = None
     for start in range(0, XT.shape[0], width):
         order = idx[start : start + width]
-        sv = np.take_along_axis(XT[start : start + width], order, axis=1)
-        GL = np.cumsum(g[order], axis=1)[:, :-1]
-        HL = np.cumsum(h[order], axis=1)[:, :-1]
-        GR, HR = G - GL, H - HL
-        gains = (
-            0.5 * (_gain_terms(GL, HL, hp) + _gain_terms(GR, HR, hp) - parent)
-            - hp.gamma
-        )
-        ok = (sv[:, :-1] < sv[:, 1:]) & (HL >= hp.min_child_weight) & (HR >= hp.min_child_weight)
-        gains = np.where(ok, gains, -np.inf)  # feature-major: first maximum wins ties
-        f, i = np.unravel_index(np.argmax(gains), gains.shape)
+        at = np.arange(start, start + order.shape[0])[:, None] * XT.shape[1]
+        sv = XT.ravel()[order + at]  # one flat gather: cheaper than 2-D fancy indexing
+        GL = g[order].cumsum(axis=1)[:, :-1]
+        HL = h[order].cumsum(axis=1)[:, :-1]
+        HR = H - HL
+        gains = _gain_terms(GL, HL, hp)
+        gains += _gain_terms(G - GL, HR, hp)
+        gains -= parent
+        gains *= 0.5
+        gains -= hp.gamma
+        ok = (sv[:, :-1] < sv[:, 1:]) & (HL >= mcw) & (HR >= mcw)
+        gains[~ok] = -np.inf  # feature-major: the first maximum wins ties
+        f, i = divmod(int(gains.argmax()), gains.shape[1])
         gain = float(gains[f, i])
         if gain > 0.0 and (best is None or gain > best[2]):
-            lo, hi = sv[f, i], sv[f, i + 1]
+            lo, hi = float(sv[f, i]), float(sv[f, i + 1])
             thr = (lo + hi) / 2.0
-            if thr <= lo:  # adjacent floats can collapse the midpoint
+            if not lo < thr <= hi:  # adjacent floats collapse, huge ones overflow
                 thr = hi
-            best = (start + int(f), float(thr), gain)
+            best = (start + f, thr, gain, i)
     return best
 
 
@@ -226,7 +238,8 @@ def find_best_split(node_rows, g, h, table: FlowTable, hp: Hyperparams):
     g, h = np.asarray(g), np.asarray(h)
     G, H = float(g[rows].sum()), float(h[rows].sum())
     XT = np.ascontiguousarray(table.features[rows].T)  # the node's own table
-    return _best_split(XT, np.argsort(XT, axis=1, kind="stable"), g[rows], h[rows], G, H, hp)
+    best = _best_split(XT, np.argsort(XT, axis=1, kind="stable"), g[rows], h[rows], G, H, hp)
+    return None if best is None else best[:3]
 
 
 def _leaf_value(G: float, H: float, hp: Hyperparams) -> float:
@@ -240,10 +253,12 @@ def _leaf_value(G: float, H: float, hp: Hyperparams) -> float:
 def _grow_tree(XT, order, g, h, hp: Hyperparams):
     """One tree grown depth-first from ``order``, the rows sorted by each
     feature, and the leaf value each row reached. Live index matrices belong
-    to the current node and the pending right siblings: disjoint rows."""
+    to the current node and the pending right siblings: disjoint rows. A node
+    at ``max_depth`` gets none, and is a leaf."""
+    m, n = XT.shape
     nodes: list[list] = []  # preorder [feature, threshold, left, right, value, cover]
-    fitted = np.empty(XT.shape[1])
-    pending = [(None, 0, np.arange(XT.shape[1], dtype=np.int64), order, 0)]
+    fitted = np.empty(n)
+    pending = [(None, 0, np.arange(n, dtype=np.int64), order, 0)]
     while pending:  # a node is numbered when popped, left child before right
         parent, slot, rows, idx, depth = pending.pop()
         if parent is not None:
@@ -251,16 +266,21 @@ def _grow_tree(XT, order, g, h, hp: Hyperparams):
         G, H = float(g[rows].sum()), float(h[rows].sum())
         node = [-1, 0.0, -1, -1, 0.0, H]
         nodes.append(node)
-        split = _best_split(XT, idx, g, h, G, H, hp) if depth < hp.max_depth else None
+        split = None if idx is None else _best_split(XT, idx, g, h, G, H, hp)
         if split is None:
             node[4] = fitted[rows] = _leaf_value(G, H, hp)
             continue
-        f, thr, _ = split
+        f, thr, _, i = split
         node[:2] = f, thr
-        goes_left = XT[f] < thr
-        left, goleft = goes_left[rows], goes_left[idx]
-        pending.append((node, 3, rows[~left], idx[~goleft].reshape(XT.shape[0], -1), depth + 1))
-        pending.append((node, 2, rows[left], idx[goleft].reshape(XT.shape[0], -1), depth + 1))
+        goes_left = np.zeros(n, dtype=bool)
+        goes_left[idx[f, : i + 1]] = True  # the rows below thr in f's sorted order
+        left = goes_left[rows]
+        kids = None, None
+        if depth + 1 < hp.max_depth:
+            goleft = goes_left[idx]
+            kids = idx[~goleft].reshape(m, -1), idx[goleft].reshape(m, -1)
+        pending.append((node, 3, rows[~left], kids[0], depth + 1))
+        pending.append((node, 2, rows[left], kids[1], depth + 1))
     return _tree_from_records(nodes), fitted
 
 
@@ -280,14 +300,17 @@ def train(train_table: FlowTable, hp: Hyperparams) -> TreeEnsemble:
     if np.unique(y).size < 2:
         raise ValueError("training requires at least 2 classes present")
     K = len(train_table.class_names)
-    XT = np.ascontiguousarray(X.T)
+    feats = np.flatnonzero(X.min(axis=0) < X.max(axis=0))  # a constant column never splits
+    XT = np.ascontiguousarray(X.T[feats])
     order = np.argsort(XT, axis=1, kind="stable")  # the one sort of this call
     margins = np.full((n, K), hp.base_score, dtype=np.float64)
     trees: list[Tree] = []
     for _ in range(hp.n_estimators):
-        g, h = _grad_hess_matrix(margins, y, w)
+        g, h = (a.T.copy() for a in _grad_hess_matrix(margins, y, w))  # one row per class
         for k in range(K):
-            tree, fitted = _grow_tree(XT, order, g[:, k], h[:, k], hp)
+            tree, fitted = _grow_tree(XT, order, g[k], h[k], hp)
+            split = tree.feature >= 0
+            tree.feature[split] = feats[tree.feature[split]]
             trees.append(tree)
             margins[:, k] += fitted
     return TreeEnsemble(
@@ -334,10 +357,26 @@ def _hyperparams_to_json(hp: Hyperparams) -> dict:
     return {key: getattr(hp, name) for name, key in HYPERPARAM_KEYS.items()}
 
 
+# JSON types a model document may hold for a field of each Python type: JSON
+# numbers need no decimal point, and bool is a subclass of int.
+_JSON_TYPES = {int: int, float: (int, float), str: str}
+
+
+def _checked(value, kind: type, what: str):
+    """``value`` as ``kind`` if the document holds that JSON type (a finite
+    number for a float), else ModelFormatError."""
+    if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
+        raise ModelFormatError(f"{what} must be a JSON {kind.__name__}, got {value!r}")
+    if kind is float and not math.isfinite(value):  # json reads 1e999 as inf
+        raise ModelFormatError(f"{what} must be finite, got {value!r}")
+    return kind(value)
+
+
 def _hyperparams_from_json(doc: dict) -> Hyperparams:
     try:
         return Hyperparams(**{
-            f.name: f.type(doc[HYPERPARAM_KEYS[f.name]]) for f in fields(Hyperparams)
+            f.name: _checked(doc[HYPERPARAM_KEYS[f.name]], f.type, HYPERPARAM_KEYS[f.name])
+            for f in fields(Hyperparams)
         })
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"bad hyperparams block: {exc}") from exc
@@ -360,33 +399,40 @@ def _tree_to_nodes(tree: Tree) -> list[dict]:
 
 
 def _tree_from_nodes(nodes: list, n_features: int) -> Tree:
+    """Tree from a document's node list, which must be a tree rooted at node 0:
+    each child numbered after its parent and every other node one's child."""
     count = len(nodes)
     if count == 0:
         raise ModelFormatError("tree has no nodes")
     records = []
+    parents = [0] * count
     for i, node in enumerate(nodes):
         if not isinstance(node, dict) or "kind" not in node:
             raise ModelFormatError(f"node {i} is not a tagged object")
         kind = node["kind"]
         try:
-            cover = float(node.get("cover", 0.0))
+            cover = _checked(node.get("cover", 0.0), float, f"node {i} cover")
             if kind == "split":
-                f = node["feature"]
-                if not isinstance(f, int) or not 0 <= f < n_features:
+                f = _checked(node["feature"], int, f"node {i} feature")
+                if not 0 <= f < n_features:
                     raise ModelFormatError(f"node {i}: feature index {f!r} out of range")
-                thr = float(node["threshold"])
-                if math.isnan(thr):
-                    raise ModelFormatError(f"node {i}: NaN threshold")
-                l, r = node["left"], node["right"]
-                if not all(isinstance(c, int) and 0 <= c < count for c in (l, r)):
-                    raise ModelFormatError(f"node {i}: child index out of range")
+                thr = _checked(node["threshold"], float, f"node {i} threshold")
+                l, r = (_checked(node[side], int, f"node {i} {side}") for side in ("left", "right"))
+                for c in (l, r):
+                    if not i < c < count:
+                        raise ModelFormatError(f"node {i}: child index {c} not in ({i}, {count})")
+                    parents[c] += 1
                 records.append([f, thr, l, r, 0.0, cover])
             elif kind == "leaf":
-                records.append([-1, 0.0, -1, -1, float(node["value"]), cover])
+                value = _checked(node["value"], float, f"node {i} value")
+                records.append([-1, 0.0, -1, -1, value, cover])
             else:
                 raise ModelFormatError(f"node {i}: unknown kind {kind!r}")
-        except (KeyError, TypeError) as exc:
-            raise ModelFormatError(f"node {i}: missing or malformed field: {exc}") from exc
+        except KeyError as exc:
+            raise ModelFormatError(f"node {i}: missing field {exc}") from exc
+    for c in range(1, count):
+        if parents[c] != 1:
+            raise ModelFormatError(f"node {c} is the child of {parents[c]} nodes, not 1")
     return _tree_from_records(records)
 
 
@@ -425,14 +471,21 @@ def deserialize(data: bytes) -> TreeEnsemble:
     try:
         classes = [str(c) for c in doc["classes"]]
         features = [str(f) for f in doc["features"]]
-        base_score = float(doc["base_score"])
+        base_score = _checked(doc["base_score"], float, "base_score")
         tree_docs = doc["trees"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"missing or malformed field: {exc}") from exc
+    if not isinstance(tree_docs, list):
+        raise ModelFormatError("trees must be an array")
     hp = _hyperparams_from_json(doc.get("hyperparams", {}))
+    if len(classes) < 2 or len(tree_docs) != hp.n_estimators * len(classes):
+        raise ModelFormatError(
+            f"{len(tree_docs)} trees are not {hp.n_estimators} rounds of one tree for each"
+            f" of {len(classes)} classes (at least 2)"
+        )
     trees = []
     for t in tree_docs:
-        if not isinstance(t, dict) or "nodes" not in t:
+        if not isinstance(t, dict) or not isinstance(t.get("nodes"), list):
             raise ModelFormatError("each tree must be an object with a nodes array")
         trees.append(_tree_from_nodes(t["nodes"], len(features)))
     return TreeEnsemble(

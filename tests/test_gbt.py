@@ -62,6 +62,13 @@ class TestHyperparams:
         with pytest.raises(ValueError):
             fs.Hyperparams(objective="rank")
 
+    @pytest.mark.parametrize("field, value", [("n_estimators", 2.7), ("max_depth", 2.0), ("seed", True)])
+    def test_integer_fields_reject_other_types(self, field, value):
+        # the model document holds them as JSON integers, so a model trained
+        # under any other value could not be loaded again
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            fs.Hyperparams(**{field: value})
+
 
 class TestSoftmaxGradHess:
     def test_symmetric_two_class(self):
@@ -163,6 +170,22 @@ def block_spanning_table(seed, signal, width=5, m=13):
     return X, g, h
 
 
+def enumerate_best_split(X, g, h, hp):
+    """Independent enumeration over every feature and boundary with split_gain."""
+    best = None
+    for f in range(X.shape[1]):
+        vals = sorted(set(X[:, f]))
+        for lo, hi in zip(vals, vals[1:]):
+            thr = (lo + hi) / 2
+            left = X[:, f] < thr
+            if min(h[left].sum(), h[~left].sum()) < hp.min_child_weight:
+                continue
+            gain = fs.split_gain(g[left].sum(), h[left].sum(), g[~left].sum(), h[~left].sum(), hp)
+            if gain > 0 and (best is None or gain > best[2]):
+                best = (f, thr, gain)
+    return best
+
+
 def on_threshold_table():
     """Rows whose values are adjacent floats, so split midpoints collapse onto
     the upper value and training rows lie exactly on thresholds."""
@@ -207,18 +230,7 @@ class TestFindBestSplit:
         table = make_table(X, np.arange(len(g)) % 2)
         got = fs.find_best_split(np.arange(len(g)), g, h, table, hp)
         assert got is not None
-        # independent enumeration over every feature/boundary using split_gain
-        best = None
-        for f in range(X.shape[1]):
-            vals = sorted(set(X[:, f]))
-            for lo, hi in zip(vals, vals[1:]):
-                thr = (lo + hi) / 2
-                left = X[:, f] < thr
-                if min(h[left].sum(), h[~left].sum()) < hp.min_child_weight:
-                    continue
-                gain = fs.split_gain(g[left].sum(), h[left].sum(), g[~left].sum(), h[~left].sum(), hp)
-                if gain > 0 and (best is None or gain > best[2]):
-                    best = (f, thr, gain)
+        best = enumerate_best_split(X, g, h, hp)
         if seed is None:
             assert got[0] == best[0] == 1
             assert got[1] == pytest.approx(best[1]) == pytest.approx(0.5)
@@ -226,6 +238,23 @@ class TestFindBestSplit:
         else:
             # integer gradients make every sum exact, so ties are real ones
             assert got == best
+
+    @pytest.mark.parametrize("below", [False, True], ids=["H-is-2mcw", "H-below-2mcw"])
+    @pytest.mark.parametrize(
+        "h", [np.full(8, 0.5), np.array([0.5, 1.5, 1, 1, 1, 1, 0.25, 1.75])], ids=["even", "uneven"],
+    )
+    def test_min_child_weight_exit_boundary_matches_enumeration(self, h, below):
+        # a node is searched only when H - mcw >= mcw; at H == 2 * mcw the one
+        # admissible partition puts half of H on each side, and it separates g
+        X = np.zeros((8, 3))
+        X[:, 1] = [0, 0, 0, 0, 1, 1, 1, 1]
+        X[:, 2] = [5, 1, 4, 2, 8, 6, 9, 7]
+        g = np.array([-1.0] * 4 + [1.0] * 4)
+        mcw = h.sum() / 2
+        hp = fs.Hyperparams(min_child_weight=float(np.nextafter(mcw, np.inf) if below else mcw))
+        got = fs.find_best_split(np.arange(8), g, h, make_table(X, np.arange(8) % 2), hp)
+        assert got == enumerate_best_split(X, g, h, hp)
+        assert (got is None) == below
 
     def test_one_row_node_has_no_split(self):
         table = separable_table(n=20, seed=4)
@@ -418,6 +447,40 @@ class TestTrain:
                 pending += [(int(tree.left[node]), rows[left]), (int(tree.right[node]), rows[~left])]
         assert checked >= 40
 
+    @pytest.mark.parametrize("at", ["front", "middle", "end"])
+    def test_constant_column_only_shifts_feature_indices(self, at):
+        table = random_multiclass_table(n=120, m=6, K=3, seed=4)
+        pos = {"front": 0, "middle": 3, "end": 6}[at]
+        X = np.insert(table.features, pos, 2.5, axis=1)
+        hp = fs.Hyperparams(n_estimators=3, max_depth=4)
+        base = fs.train(table, hp)
+        ens = fs.train(make_table(X, table.labels, n_classes=3), hp)
+        assert len(ens.trees) == len(base.trees)
+        for tree, ref in zip(ens.trees, base.trees):
+            split = ref.feature >= 0
+            assert split.any()
+            shifted = np.where(split & (ref.feature >= pos), ref.feature + 1, ref.feature)
+            assert tree.feature.tolist() == shifted.tolist()
+            for name in ("threshold", "left", "right", "value", "cover"):
+                assert getattr(tree, name).tobytes() == getattr(ref, name).tobytes()
+
+    def test_all_constant_table_trains_single_leaf_trees(self):
+        table = make_table(np.full((12, 3), -4.0), [0, 1, 2] * 4)
+        ens = fs.train(table, fs.Hyperparams(n_estimators=3))
+        assert len(ens.trees) == 9
+        for tree in ens.trees:
+            assert tree.n_nodes == 1 and tree.feature[0] == -1
+            assert np.isfinite(tree.value).all() and np.isfinite(tree.cover).all()
+
+    def test_midpoint_overflow_splits_between_the_values(self):
+        # (lo + hi) / 2 overflows to inf here; the threshold must still part them
+        lo, hi = 1.0e308, 1.7e308
+        table = make_table(np.array([[lo], [lo], [hi], [hi]]), [0, 0, 1, 1])
+        g = np.array([-1.0, -1, 1, 1])
+        assert fs.find_best_split(np.arange(4), g, np.ones(4), table, fs.Hyperparams())[1] == hi
+        ens = fs.train(table, fs.Hyperparams(n_estimators=2, min_child_weight=0.0))
+        assert fs.predict_classes(ens, table.features).tolist() == [0, 0, 1, 1]
+
     def test_min_child_weight_zero_isolates_one_row(self):
         X = np.array([[0.0], [1.0], [2.0], [3.0], [4.0], [5.0], [6.0], [9.0]])
         table = make_table(X, [0, 0, 0, 1, 1, 1, 0, 2])  # class 2 has one row
@@ -518,6 +581,34 @@ class TestPredict:
             fs.predict_margin(ens, np.zeros(5))
 
 
+def _self_loop(stump, leaf, hp):
+    # two nodes, the root its own left child: routing a row left never ends
+    del stump[2]
+    stump[0].update(left=0, right=1)
+
+
+def _child_before_parent(stump, leaf, hp):
+    stump[2].update(kind="split", feature=0, threshold=0.0, left=1, right=1)
+
+
+# Each mutation of a serialized stump ensemble, and the error it must raise.
+MALFORMED = {
+    "self-loop": (_self_loop, "child index 0"),
+    "child-before-parent": (_child_before_parent, "child index 1"),
+    "shared-child": (lambda stump, leaf, hp: stump[0].update(right=1), "node 1 is the child of 2"),
+    "unreachable-node": (lambda stump, leaf, hp: leaf.append(dict(leaf[0])), "node 1 is the child of 0"),
+    "bool-feature": (lambda stump, leaf, hp: stump[0].update(feature=True), "feature must be a JSON int"),
+    "bool-child": (lambda stump, leaf, hp: stump[0].update(right=True), "right must be a JSON int"),
+    "fractional-rounds": (lambda stump, leaf, hp: hp.update(n_estimators=2.7),
+                          "n_estimators must be a JSON int"),
+    "string-depth": (lambda stump, leaf, hp: hp.update(max_depth="6"), "max_depth must be a JSON int"),
+    "string-rate": (lambda stump, leaf, hp: hp.update(learning_rate="0.3"),
+                    "learning_rate must be a JSON float"),
+    # margins index classes by tree number modulo the class count
+    "missing-tree": (lambda stump, leaf, hp: hp.update(n_estimators=2), "2 trees are not 2 rounds"),
+}
+
+
 class TestSerialization:
     def test_round_trip_identical_margins(self):
         table = separable_table(n=80, seed=21)
@@ -586,6 +677,40 @@ class TestSerialization:
         doc["trees"][0]["nodes"][0]["feature"] = 7
         with pytest.raises(fs.ModelFormatError, match="out of range"):
             fs.deserialize(json.dumps(doc).encode())
+
+    @pytest.mark.parametrize("mutate, message", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_malformed_node_graph_or_hyperparams_rejected(self, mutate, message):
+        doc = json.loads(fs.serialize(stump_ensemble()))  # trees: a stump, then one leaf
+        mutate(doc["trees"][0]["nodes"], doc["trees"][1]["nodes"], doc["hyperparams"])
+        with pytest.raises(fs.ModelFormatError, match=message):
+            fs.deserialize(json.dumps(doc).encode())
+
+    @pytest.mark.parametrize("field, written", [("threshold", "1.5"), ("value", "-1.0")])
+    def test_overflowing_number_rejected(self, field, written):
+        # json reads 1e999 as inf without passing it to parse_constant
+        text = fs.serialize(stump_ensemble()).decode()
+        assert f'"{field}": {written}' in text
+        text = text.replace(f'"{field}": {written}', f'"{field}": 1e999', 1)
+        with pytest.raises(fs.ModelFormatError, match=f"{field} must be finite"):
+            fs.deserialize(text.encode())
+
+    @pytest.mark.parametrize("classes", [[], ["only"], ["a", "b", "c"]])
+    def test_tree_count_must_match_rounds_and_classes(self, classes):
+        doc = json.loads(fs.serialize(stump_ensemble()))  # 1 round, 2 classes
+        doc["classes"] = classes
+        with pytest.raises(fs.ModelFormatError, match="trees are not 1 rounds"):
+            fs.deserialize(json.dumps(doc).encode())
+
+    def test_trees_must_be_an_array(self):
+        doc = json.loads(fs.serialize(stump_ensemble()))
+        doc["trees"] = 5
+        with pytest.raises(fs.ModelFormatError, match="trees must be an array"):
+            fs.deserialize(json.dumps(doc).encode())
+
+    def test_integer_json_number_reads_as_float_hyperparam(self):
+        doc = json.loads(fs.serialize(stump_ensemble()))
+        doc["hyperparams"]["lambda"] = 2
+        assert fs.deserialize(json.dumps(doc).encode()).hyperparams.reg_lambda == 2.0
 
     def test_file_round_trip(self, tmp_path):
         table = separable_table(n=40, seed=30)
