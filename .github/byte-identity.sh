@@ -1,8 +1,9 @@
 #!/bin/sh
 # Run `flowshap pipeline --compare` (4 rounds, the perfbench selection
 # settings) on one perfbench/flowgen.py input under this tree and under
-# another checkout, usually the parent commit, and require every model,
-# attribution, ranking and selection artifact to be byte-identical.
+# another checkout, usually the parent commit, and require the prepared tables
+# and report and every model, attribution, ranking and selection artifact to be
+# byte-identical.
 #
 # Usage, from the repository root: sh .github/byte-identity.sh OTHER_TREE WORKDIR
 set -eu
@@ -20,7 +21,8 @@ for side in new old; do
     PYTHONPATH="$tree/src" python -m flowshap.cli pipeline --compare --config "$work/$side.ini"
 done
 artifacts() {
-    (cd "$1" && ls model.json shap_values.csv importance_*.csv selection_*.json \
+    (cd "$1" && ls train_table.npz test_table.npz prepare_report.json model.json \
+                   shap_values.csv shap_base_values.json importance_*.csv selection_*.json \
                    model_selected.json comparison.csv)
 }
 cd "$work/new"

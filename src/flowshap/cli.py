@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import explain, gbt, ingest, metrics, selection
-from .config import FIELD, SCHEMA, SELECTION_METHODS, RunConfig, load_config_file, write_config_file
+from .config import FIELD, SCHEMA, SELECTION_METHODS, RunConfig, build_config, load_config_file, write_config_file
 
 TRAIN_TABLE = "train_table.npz"
 TEST_TABLE = "test_table.npz"
@@ -46,9 +46,8 @@ def _outdir(cfg: RunConfig, stage: str | None = None) -> tuple[RunConfig, Path]:
     differs in a key that an artifact this run keeps was made under: any key for
     the pipeline (no ``stage``); for a stage, the prepared tables' keys and those
     of every other stage whose artifacts exist. A run without an input CSV takes
-    the recorded one: only prepare reads it."""
+    the recorded one: only prepare reads it, and only prepare makes the directory."""
     out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     recorded = out / EFFECTIVE_CONFIG
     if recorded.exists():
         before = load_config_file(recorded)
@@ -86,9 +85,10 @@ def _selection_file(method: str) -> str:
 
 def cmd_prepare(cfg: RunConfig) -> dict:
     """Parse, clean, split, and persist the train/test tables."""
+    cfg, out = _outdir(cfg, "prepare")
     if not cfg.input_csv:
         raise ValueError("no input CSV configured")
-    cfg, out = _outdir(cfg, "prepare")
+    out.mkdir(parents=True, exist_ok=True)
     table, rows_in = ingest.read_flow_csv(cfg.input_csv, drop_columns=set(cfg.drop_columns),
                                           label_column=cfg.label_column)
     train_t, test_t = ingest.stratified_split(table, cfg.split_spec())
@@ -160,17 +160,10 @@ def cmd_explain(cfg: RunConfig) -> explain.ShapMatrix:
     return shap
 
 
-def read_ranking_csv(path) -> explain.ImportanceRanking:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        entries = [(row["feature"], float(row["score"])) for row in reader]
-    return explain.ImportanceRanking(entries=entries, scope="global")
-
-
 def _shap_ranking(cfg: RunConfig, out: Path, train_t, test_t) -> explain.ImportanceRanking:
     path = out / GLOBAL_RANKING
     if path.exists():
-        return read_ranking_csv(path)
+        return explain.read_ranking_csv(path)
     ens = gbt.load_model(out / MODEL_FILE)
     return explain.global_importance(explain.tree_shap(ens, _explained_rows(cfg, train_t, test_t)))
 
@@ -257,15 +250,6 @@ def cmd_pipeline(cfg: RunConfig, compare: bool = False) -> None:
         cmd_select(cfg, compare=compare)
 
 
-def build_config(args) -> RunConfig:
-    """Defaults, then the config file, then every flag whose destination is a
-    RunConfig field."""
-    cfg = load_config_file(args.config) if args.config else RunConfig()
-    overrides = {field: getattr(args, field) for _, _, field, _, _ in SCHEMA
-                 if getattr(args, field, None) is not None}
-    return replace(cfg, **overrides)
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="flowshap",
@@ -275,18 +259,14 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="INI configuration file")
     common.add_argument("--input", dest=FIELD.input_csv, help="input flow CSV")
     common.add_argument("--output-dir", help="artifact directory")
-    common.add_argument("--seed", type=int, help="master seed for every stage")
+    common.add_argument("--seed", help="master seed for every stage")
 
     select_opts = argparse.ArgumentParser(add_help=False)
-    select_opts.add_argument("--method", choices=SELECTION_METHODS)
-    select_opts.add_argument(
-        "--k", type=int, dest=FIELD.k_for_filters, help="feature count for filter methods",
-    )
-    select_opts.add_argument("--max-candidates", type=int)
-    select_opts.add_argument(
-        "--eval-scope", choices=("validation", "test"), dest=FIELD.evaluation_scope,
-        help="where candidate subsets are scored",
-    )
+    select_opts.add_argument("--method", help=f"one of {', '.join(SELECTION_METHODS)}")
+    select_opts.add_argument("--k", dest=FIELD.k_for_filters, help="feature count for filter methods")
+    select_opts.add_argument("--max-candidates")
+    select_opts.add_argument("--eval-scope", dest=FIELD.evaluation_scope,
+                             help="where candidate subsets are scored: validation or test")
     select_opts.add_argument(
         "--paper-faithful", action="store_const", const="test", dest=FIELD.evaluation_scope,
         help="score candidate subsets on the held-out test set (same as --eval-scope test)",

@@ -3,7 +3,7 @@
 Precedence is flags over config file over defaults. A single master seed
 drives every stage; stage seeds are derived at fixed offsets so each stage
 is independently reproducible. ``SCHEMA`` is the one description of the INI
-file: reading, writing and the flag overrides are all derived from it.
+file: reading it, writing it and parsing the flags are all derived from it.
 """
 
 import configparser
@@ -13,7 +13,7 @@ from types import SimpleNamespace
 
 from .gbt import HYPERPARAM_KEYS, Hyperparams
 from .ingest import DEFAULT_DROP_COLUMNS, DEFAULT_LABEL_COLUMN, SplitSpec
-from .selection import check_pass_limits
+from .selection import FILTER_SCORERS, check_pass_limits
 
 SEED_OFFSET_SPLIT = 0
 SEED_OFFSET_TRAIN = 1
@@ -21,7 +21,7 @@ SEED_OFFSET_CARVE = 2
 
 VALIDATION_CARVE_FRACTION = 0.75  # selection trains on 75% of train, scores on the rest
 
-SELECTION_METHODS = ("shap", "correlation", "chi_square", "anova")
+SELECTION_METHODS = ("shap", *FILTER_SCORERS)
 
 
 @dataclass(frozen=True)
@@ -31,16 +31,16 @@ class RunConfig:
     drop_columns: tuple = DEFAULT_DROP_COLUMNS
     seed: int = 0
     output_dir: str = "out"
-    train_fraction: float = 0.8
-    stratified: bool = True
-    n_estimators: int = 100
-    learning_rate: float = 0.3
-    max_depth: int = 6
-    min_child_weight: float = 1.0
-    gamma: float = 0.0
-    reg_lambda: float = 1.0
-    reg_alpha: float = 0.0
-    base_score: float = 0.5
+    train_fraction: float = SplitSpec.train_fraction
+    stratified: bool = SplitSpec.stratified
+    n_estimators: int = Hyperparams.n_estimators
+    learning_rate: float = Hyperparams.learning_rate
+    max_depth: int = Hyperparams.max_depth
+    min_child_weight: float = Hyperparams.min_child_weight
+    gamma: float = Hyperparams.gamma
+    reg_lambda: float = Hyperparams.reg_lambda
+    reg_alpha: float = Hyperparams.reg_alpha
+    base_score: float = Hyperparams.base_score
     method: str = "shap"
     k_for_filters: int = 12
     max_candidates: int | None = None
@@ -156,6 +156,20 @@ def _parser() -> configparser.ConfigParser:
     return configparser.ConfigParser(interpolation=None, default_section="")
 
 
+def _parsed(text_of, source) -> dict:
+    """Every RunConfig field whose ``text_of(section, key, field)`` is not None,
+    parsed by its SCHEMA entry; a rejected text raises one ValueError naming the
+    source and the key."""
+    values = {}
+    for section, key, field, parse, _ in SCHEMA:
+        if (text := text_of(section, key, field)) is not None:
+            try:
+                values[field] = parse(text)
+            except ValueError as exc:
+                raise ValueError(f"{source}: [{section}] {key}: {exc}") from None
+    return values
+
+
 def load_config_file(path, base: RunConfig | None = None) -> RunConfig:
     """Layer an INI file over the given (or default) configuration.
 
@@ -171,14 +185,14 @@ def load_config_file(path, base: RunConfig | None = None) -> RunConfig:
                 for k in parser[s] if (s, k) not in keys]
     if unknown:
         raise ValueError(f"{path}: unknown config entries: {', '.join(unknown)}")
-    updates = {}
-    for section, key, field, parse, _ in SCHEMA:
-        if parser.has_option(section, key):
-            try:
-                updates[field] = parse(parser[section][key])
-            except ValueError as exc:
-                raise ValueError(f"{path}: [{section}] {key}: {exc}") from None
-    return replace(base or RunConfig(), **updates)
+    return replace(base or RunConfig(), **_parsed(lambda s, k, _: parser.get(s, k, fallback=None), path))
+
+
+def build_config(args) -> RunConfig:
+    """Defaults, then the ``args.config`` file, then every flag whose
+    destination is a RunConfig field, parsed as its INI value is."""
+    cfg = load_config_file(args.config) if args.config else RunConfig()
+    return replace(cfg, **_parsed(lambda s, k, field: getattr(args, field, None), "command line"))
 
 
 def write_config_file(cfg: RunConfig, path) -> None:

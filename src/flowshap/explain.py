@@ -271,3 +271,10 @@ def write_ranking_csv(ranking: ImportanceRanking, path) -> None:
         writer.writerow(["rank", "feature", "score"])
         for rank, (name, score) in enumerate(ranking.entries, start=1):
             writer.writerow([rank, name, repr(score)])
+
+
+def read_ranking_csv(path) -> ImportanceRanking:
+    """The global ranking ``write_ranking_csv`` wrote to ``path``."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        entries = [(row["feature"], float(row["score"])) for row in csv.DictReader(fh)]
+    return ImportanceRanking(entries=entries, scope="global")

@@ -359,7 +359,7 @@ def _hyperparams_to_json(hp: Hyperparams) -> dict:
 
 # JSON types a model document may hold for a field of each Python type: JSON
 # numbers need no decimal point, and bool is a subclass of int.
-_JSON_TYPES = {int: int, float: (int, float), str: str}
+_JSON_TYPES = {int: int, float: (int, float), str: str, list: list}
 
 
 def _checked(value, kind: type, what: str):
@@ -370,6 +370,14 @@ def _checked(value, kind: type, what: str):
     if kind is float and not math.isfinite(value):  # json reads 1e999 as inf
         raise ModelFormatError(f"{what} must be finite, got {value!r}")
     return kind(value)
+
+
+def _names(value, what: str) -> list[str]:
+    """A document's name list, which must be a JSON array of distinct strings."""
+    names = [_checked(name, str, f"{what} entry") for name in _checked(value, list, what)]
+    if len(set(names)) != len(names):
+        raise ModelFormatError(f"{what} must be distinct, got {names!r}")
+    return names
 
 
 def _hyperparams_from_json(doc: dict) -> Hyperparams:
@@ -469,8 +477,7 @@ def deserialize(data: bytes) -> TreeEnsemble:
             f"unsupported format_version {version!r}; this build reads version {MODEL_FORMAT_VERSION}"
         )
     try:
-        classes = [str(c) for c in doc["classes"]]
-        features = [str(f) for f in doc["features"]]
+        classes, features = (_names(doc[key], key) for key in ("classes", "features"))
         base_score = _checked(doc["base_score"], float, "base_score")
         tree_docs = doc["trees"]
     except (KeyError, TypeError, ValueError) as exc:

@@ -272,28 +272,16 @@ def _train_count(fraction: float, count: int) -> int:
 def stratified_split(table: FlowTable, spec: SplitSpec) -> tuple[FlowTable, FlowTable]:
     """Seed-deterministic train/test partition; per-class when stratified."""
     rng = SplitMix64(spec.seed)
-    train_idx: list[int] = []
-    test_idx: list[int] = []
-    if spec.stratified:
-        for k, name in enumerate(table.class_names):
-            rows = np.nonzero(table.labels == k)[0].tolist()
-            if len(rows) == 1:
-                raise ValueError(
-                    f"class {name!r} has a single sample; cannot split stratified"
-                )
-            if not rows:
-                continue
-            rng.shuffle(rows)
-            n_train = _train_count(spec.train_fraction, len(rows))
-            train_idx.extend(rows[:n_train])
-            test_idx.extend(rows[n_train:])
-    else:
-        rows = list(range(table.n_rows))
+    groups = ([np.flatnonzero(table.labels == k) for k in range(len(table.class_names))]
+              if spec.stratified else [np.arange(table.n_rows)])
+    train = np.zeros(table.n_rows, dtype=bool)
+    for k, rows in enumerate(groups):
+        if spec.stratified and len(rows) == 1:
+            raise ValueError(f"class {table.class_names[k]!r} has a single sample; cannot split stratified")
+        rows = rows.tolist()
         rng.shuffle(rows)
-        n_train = _train_count(spec.train_fraction, len(rows))
-        train_idx = rows[:n_train]
-        test_idx = rows[n_train:]
-    return table.take(sorted(train_idx)), table.take(sorted(test_idx))
+        train[rows[:_train_count(spec.train_fraction, len(rows))]] = True
+    return table.take(np.flatnonzero(train)), table.take(np.flatnonzero(~train))
 
 
 def class_weights(labels, n_classes: int) -> ClassWeights:

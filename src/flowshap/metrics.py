@@ -13,7 +13,6 @@ from .ingest import FlowTable, apply_sample_weights, class_weights
 @dataclass
 class ConfusionMatrix:
     counts: np.ndarray  # (K, K), rows = true class, columns = predicted
-    class_names: list[str]
 
 
 @dataclass(frozen=True)
@@ -42,7 +41,7 @@ class EvalReport:
     predict_seconds: float
 
 
-def confusion(y_true, y_pred, n_classes: int, class_names=None) -> ConfusionMatrix:
+def confusion(y_true, y_pred, n_classes: int) -> ConfusionMatrix:
     y_true = np.asarray(y_true, dtype=np.int64)
     y_pred = np.asarray(y_pred, dtype=np.int64)
     if y_true.shape != y_pred.shape:
@@ -54,8 +53,7 @@ def confusion(y_true, y_pred, n_classes: int, class_names=None) -> ConfusionMatr
         raise ValueError("class index outside [0, n_classes)")
     counts = np.zeros((n_classes, n_classes), dtype=np.int64)
     np.add.at(counts, (y_true, y_pred), 1)
-    names = list(class_names) if class_names is not None else [str(k) for k in range(n_classes)]
-    return ConfusionMatrix(counts=counts, class_names=names)
+    return ConfusionMatrix(counts=counts)
 
 
 def _ratio(num: float, den: float) -> float:
@@ -106,25 +104,8 @@ def macro_f1(y_true, y_pred, n_classes: int) -> float:
     return macro.f1
 
 
-def evaluate_predictions(y_true, y_pred, class_names,
-                         train_seconds: float = 0.0,
-                         predict_seconds: float = 0.0) -> EvalReport:
-    cm = confusion(y_true, y_pred, len(class_names), class_names)
-    per_class = per_class_metrics(cm)
-    accuracy, macro, weighted = aggregate(per_class)
-    return EvalReport(
-        accuracy=accuracy,
-        per_class=per_class,
-        macro=macro,
-        weighted=weighted,
-        class_names=list(class_names),
-        train_seconds=train_seconds,
-        predict_seconds=predict_seconds,
-    )
-
-
 def timed_evaluate(ens: gbt.TreeEnsemble, test: FlowTable, train_seconds: float = 0.0) -> EvalReport:
-    """Predict the whole table, timing the prediction pass."""
+    """Predict the whole table and score the predictions, timing the prediction pass."""
     if list(test.feature_names) != list(ens.feature_names):
         raise ValueError("table features do not match the model")
     if list(test.class_names) != list(ens.class_names):
@@ -132,10 +113,11 @@ def timed_evaluate(ens: gbt.TreeEnsemble, test: FlowTable, train_seconds: float 
     t0 = time.perf_counter()
     y_pred = gbt.predict_classes(ens, test.features)
     predict_seconds = time.perf_counter() - t0
-    return evaluate_predictions(
-        test.labels, y_pred, test.class_names,
-        train_seconds=train_seconds, predict_seconds=predict_seconds,
-    )
+    per_class = per_class_metrics(confusion(test.labels, y_pred, len(test.class_names)))
+    accuracy, macro, weighted = aggregate(per_class)
+    return EvalReport(accuracy=accuracy, per_class=per_class, macro=macro, weighted=weighted,
+                      class_names=list(test.class_names), train_seconds=train_seconds,
+                      predict_seconds=predict_seconds)
 
 
 def fit_and_evaluate(train: FlowTable, test: FlowTable, hp: gbt.Hyperparams):

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gbt, metrics
-from .explain import ImportanceRanking
+from .explain import ImportanceRanking, _ranked
 from .ingest import FlowTable, SchemaError
 
 ANOVA_SENTINEL = float(np.finfo(np.float64).max)
@@ -175,8 +175,7 @@ def filter_select(scores: FilterScores, k: int) -> list[str]:
     """Top-k feature names by descending score with lexicographic tie-break."""
     if not 0 < k <= len(scores.feature_names):
         raise ValueError(f"k must lie in [1, {len(scores.feature_names)}]")
-    order = sorted(zip(scores.feature_names, scores.scores), key=lambda kv: (-kv[1], kv[0]))
-    return [name for name, _ in order[:k]]
+    return [name for name, _ in _ranked(scores.feature_names, scores.scores, scores.method).entries[:k]]
 
 
 FILTER_SCORERS = {

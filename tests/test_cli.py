@@ -425,6 +425,18 @@ class TestPipeline:
         assert "different input_csv;" in doc["message"]
         assert recorded.read_bytes() == before
 
+    def test_prepare_without_input_takes_the_recorded_csv(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        write_flow_csv(tmp_path / "flows.csv", {"Benign": 20, "Recon": 10}, seed=4)
+        assert cli.main(["prepare", "--input", "flows.csv", "--output-dir", "out", "--seed", "1"]) == 0
+        first = (tmp_path / "out" / cli.TRAIN_TABLE).read_bytes()
+        assert cli.main(["prepare", "--output-dir", "out", "--seed", "1"]) == 0
+        assert (tmp_path / "out" / cli.TRAIN_TABLE).read_bytes() == first
+        capsys.readouterr()
+        assert cli.main(["prepare", "--output-dir", "fresh", "--seed", "1"]) == 1
+        assert json.loads(capsys.readouterr().err)["message"] == "no input CSV configured"
+        assert not (tmp_path / "fresh").exists()
+
 
 class TestConfigFile:
     def test_round_trip_reproduces_run(self, prepared, tmp_path):
@@ -477,6 +489,21 @@ class TestMainEntry:
         assert "\n" not in err
         doc = json.loads(err)
         assert "error" in doc and "message" in doc
+
+    @pytest.mark.parametrize("command, flag, value, key", [
+        ("train", "--seed", "1.5", "seed"),
+        ("select", "--k", "x", "k_for_filters"),
+        ("select", "--method", "bogus", "method"),
+        ("pipeline", "--eval-scope", "nope", "evaluation_scope"),
+    ])
+    def test_bad_flag_value_is_one_json_line(self, tmp_path, capsys, command, flag, value, key):
+        # A flag is parsed and checked as its INI key is, not by argparse.
+        out = tmp_path / "out"
+        assert cli.main([command, "--output-dir", str(out), flag, value]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert key in json.loads(err)["message"]
+        assert not out.exists()
 
     def test_paper_faithful_flag(self, tmp_path):
         args = cli._build_parser().parse_args(["pipeline", "--paper-faithful"])

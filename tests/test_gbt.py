@@ -701,6 +701,19 @@ class TestSerialization:
         with pytest.raises(fs.ModelFormatError, match="trees are not 1 rounds"):
             fs.deserialize(json.dumps(doc).encode())
 
+    @pytest.mark.parametrize("key, names, message", [
+        ("classes", "cc", "classes must be a JSON list"),
+        ("classes", [0, 1], "classes entry must be a JSON str"),
+        ("features", [None, 1.5], "features entry must be a JSON str"),
+        ("classes", ["c0", "c0"], "classes must be distinct"),
+        ("features", ["f0", "f0"], "features must be distinct"),
+    ], ids=["string-classes", "number-classes", "null-feature", "duplicate-classes", "duplicate-features"])
+    def test_name_lists_must_be_distinct_strings(self, key, names, message):
+        doc = json.loads(fs.serialize(stump_ensemble()))  # 2 classes, 2 features
+        doc[key] = names
+        with pytest.raises(fs.ModelFormatError, match=message):
+            fs.deserialize(json.dumps(doc).encode())
+
     def test_trees_must_be_an_array(self):
         doc = json.loads(fs.serialize(stump_ensemble()))
         doc["trees"] = 5

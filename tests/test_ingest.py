@@ -307,9 +307,18 @@ class TestStratifiedSplit:
         ids = np.arange(37, dtype=float).reshape(37, 1)
         labels = np.array([0] * 20 + [1] * 12 + [2] * 5)
         table = make_table(ids, labels)
-        train, test = fs.stratified_split(table, fs.SplitSpec(train_fraction=0.6, seed=7))
-        combined = sorted(train.features[:, 0].tolist() + test.features[:, 0].tolist())
-        assert combined == ids[:, 0].tolist()
+        # Exact test rows of each branch, pinned so a rewrite keeps the
+        # partition (the shuffles draw in class order, then cut each group).
+        for stratified, test_ids in [
+            (True, [0, 3, 4, 6, 7, 9, 16, 19, 21, 23, 27, 28, 29, 32, 36]),
+            (False, [0, 2, 3, 7, 9, 11, 14, 19, 20, 22, 24, 31, 32, 33, 36]),
+        ]:
+            spec = fs.SplitSpec(train_fraction=0.6, seed=7, stratified=stratified)
+            train, test = fs.stratified_split(table, spec)
+            combined = sorted(train.features[:, 0].tolist() + test.features[:, 0].tolist())
+            assert combined == ids[:, 0].tolist()
+            assert test.features[:, 0].tolist() == test_ids
+            assert np.array_equal(test.labels, labels[test_ids])
 
     def test_benchmark_proportions(self):
         # The expected per-class train counts follow from the stated rounding
