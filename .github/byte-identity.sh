@@ -3,17 +3,20 @@
 # settings) on one perfbench/flowgen.py input under this tree and under
 # another checkout, usually the parent commit, and require the prepared tables
 # and report and every model, attribution, ranking and selection artifact to be
-# byte-identical.
+# byte-identical. Then run `flowshap prepare` on a 30,000-row input (about 300
+# dirty rows over 30 parse chunks) under both trees and require its tables and
+# report to be byte-identical too.
 #
 # Usage, from the repository root: sh .github/byte-identity.sh OTHER_TREE WORKDIR
 set -eu
+root=$PWD
 other=$(cd "$1" && pwd)
 mkdir -p "$2"
 work=$(cd "$2" && pwd)
 csv=$(python perfbench/flowgen.py "$work/cache" 1200 1 0 \
       | python -c "import json, sys; print(json.load(sys.stdin)['path'])")
 for side in new old; do
-    tree=$PWD
+    tree=$root
     [ "$side" = old ] && tree=$other
     rm -rf "$work/$side"
     printf '[run]\ninput_csv = %s\nseed = 42\noutput_dir = %s\n[hyperparams]\nn_estimators = 4\n[selection]\nmax_candidates = 16\nevaluation_scope = validation\n' \
@@ -32,3 +35,17 @@ for f in $files; do
     cmp "$f" "../old/$f"
 done
 echo "$(echo "$files" | wc -l) artifacts byte-identical"
+
+csv=$(python "$root/perfbench/flowgen.py" "$work/cache" 30000 1 0 \
+      | python -c "import json, sys; print(json.load(sys.stdin)['path'])")
+for side in new old; do
+    tree=$root
+    [ "$side" = old ] && tree=$other
+    rm -rf "$work/prepare-$side"
+    PYTHONPATH="$tree/src" python -m flowshap.cli prepare --input "$csv" --seed 42 \
+        --output-dir "$work/prepare-$side"
+done
+for f in train_table.npz test_table.npz prepare_report.json; do
+    cmp "$work/prepare-new/$f" "$work/prepare-old/$f"
+done
+echo "30,000-row prepare: 3 artifacts byte-identical"

@@ -3,6 +3,11 @@
 Parses CICFlowMeter-style flow records, drops identifier columns, removes
 rows with null or non-finite cells, label-encodes categorical columns, and
 produces dense float64 feature tables with per-row sample weights.
+
+``_parse_cell`` states the cell rule. A column of a chunk of rows is parsed by
+one C-level ``float`` pass, and cell by cell only if some cell fails it. This is
+exact: ``float`` strips a subset of the whitespace ``str.strip`` removes, so if
+``float(s)`` succeeds it equals ``float(s.strip())``, and non-finite is null.
 """
 
 import csv
@@ -173,17 +178,21 @@ def _parse_cell(text: str):
 
 
 def _parse_column(rows, c: int):
-    """Column ``c`` as float64 values plus null and text masks, via ``_parse_cell``."""
+    """Column ``c`` as float64 values (NaN where null or text) plus null and
+    text masks, by ``_parse_cell``'s rule: one C-level ``float`` pass, or, if a
+    cell fails it (an empty or text cell), ``_parse_cell`` on every cell."""
     n = len(rows)
-    values = np.fromiter(
-        (v if isinstance(v, float) else math.nan for v in map(_parse_cell, map(itemgetter(c), rows))),
-        dtype=np.float64, count=n,
-    )
-    missing = np.isnan(values)  # _parse_cell never yields a NaN float
-    text = np.zeros(n, dtype=bool)
-    for i in np.flatnonzero(missing):
-        text[i] = isinstance(_parse_cell(rows[i][c]), str)
-    return values, missing & ~text, text
+    try:
+        values = np.fromiter(map(float, map(itemgetter(c), rows)), dtype=np.float64, count=n)
+    except ValueError:  # an empty or text cell somewhere in the chunk
+        cells = list(map(_parse_cell, map(itemgetter(c), rows)))
+        text = np.fromiter((isinstance(v, str) for v in cells), dtype=bool, count=n)
+        values = np.fromiter((v if isinstance(v, float) else math.nan for v in cells),
+                             dtype=np.float64, count=n)
+        return values, np.isnan(values) & ~text, text  # _parse_cell never yields a NaN float
+    null = ~np.isfinite(values)
+    values[null] = math.nan
+    return values, null, np.zeros(n, dtype=bool)
 
 
 def read_flow_csv(path, drop_columns=None, label_column=DEFAULT_LABEL_COLUMN) -> tuple[FlowTable, int]:

@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import flowshap as fs
 from flowshap.ingest import DEFAULT_DROP_COLUMNS
@@ -138,9 +140,48 @@ def _row_wise_preprocess(raw, label_column):
     return kept, np.array(columns).T.reshape(len(rows), len(kept)), [r[label].strip() for r in rows]
 
 
+def _any_case(word):
+    return st.lists(st.booleans(), min_size=len(word), max_size=len(word)).map(
+        lambda upper: "".join(ch.upper() if u else ch for ch, u in zip(word, upper)))
+
+
+# Pieces of cells that float() and str.strip() may read differently: digits,
+# signs, exponents and underscores, Arabic-Indic digits, whitespace that float()
+# does ("\xa0", "\u3000") and does not ("\x1c") strip, every case of the
+# non-finite words, overflow, underflow, hex and the empty cell.
+_NONFINITE = st.sampled_from(["inf", "Infinity", "nan"]).flatmap(_any_case)
+_PIECES = st.one_of(
+    st.sampled_from(list("0123456789+-.eE_") + ["\u0661", "\u0662", "\x1c", "\xa0", "\u3000", " "]),
+    _NONFINITE,
+    st.sampled_from(["1e999", "1e-400", "0x10", ""]),
+)
+_ANY_CELL = st.lists(_PIECES, max_size=6).map("".join)
+_SPACE = st.sampled_from(["", " ", "\xa0", "\u3000", "\t"])
+_NUMBER = st.one_of(
+    st.floats().map(repr),
+    st.tuples(st.sampled_from(["", "+", "-"]), _NONFINITE).map("".join),
+    st.sampled_from(["1_000", "\u0661\u0662", "+.5", "-0.0", "1e999", "-1e999", "1e-400", "-1e-400", "7"]),
+)
+_NUMERIC_CELL = st.tuples(_SPACE, _NUMBER, _SPACE).map("".join)
+
+
+class TestParseColumnMatchesParseCell:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.lists(_ANY_CELL, max_size=12), st.lists(_NUMERIC_CELL, max_size=12),
+                     st.lists(st.one_of(_NUMERIC_CELL, _ANY_CELL), max_size=12)))
+    def test_same_bits_null_mask_and_text_mask(self, cells):
+        parsed = [fs.ingest._parse_cell(c) for c in cells]
+        values, null, text = fs.ingest._parse_column([["x", c] for c in cells], 1)
+        expected = np.array([v if isinstance(v, float) else math.nan for v in parsed], dtype=np.float64)
+        assert values.tobytes() == expected.tobytes()
+        assert null.tolist() == [v is None for v in parsed]
+        assert text.tolist() == [isinstance(v, str) for v in parsed]
+
+
 class TestPreprocessMatchesRowWiseRule:
     CELLS = ["1", " 2.5 ", "-0", "1e3", "10", "9", "x", " y ", "TCP", "", " ", "NaN",
-             "inf", "-Infinity", "1e400", "\x1c1"]
+             "inf", "-Infinity", "1e400", "\x1c1", "1_000", "\u0661\u0662", "+.5", "-0.0",
+             "1e-400", "iNfInItY", "0x10"]
 
     def mixed_table(self, seed):
         rng = np.random.default_rng(seed)
@@ -225,6 +266,40 @@ class TestReadFlowCsv:
         assert [table.class_names[k] for k in table.labels] == ["a", "b", "a", "b"]
         assert rows_in == 7
         _same_table(fs.preprocess(fs.load_csv(path), drop_columns=set()), table)
+
+    def test_null_and_text_cells_after_an_all_numeric_chunk(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(fs.ingest, "PARSE_CHUNK_ROWS", 2)
+        # two-row chunks: every column parses as floats in the first; a null in
+        # late_null, text in late_text and NaN/Infinity labels come later.
+        lines = ["n,late_null,late_text,Stage", "1,2,3,a", "4,5,6,b",
+                 "7,,8,a", "9,10,11,NaN", "12,13,TCP,b", "14,15,16,Infinity", "17,18,19,a"]
+        path = _write(tmp_path / "late.csv", "\n".join(lines) + "\n")
+        table, rows_in = fs.read_flow_csv(path, drop_columns=set())
+        assert rows_in == 7
+        # late_text is coded by the sorted text of its surviving cells: 19, 3, 6, TCP
+        assert table.features.tolist() == [[1, 2, 1], [4, 5, 2], [12, 13, 3], [17, 18, 0]]
+        assert [table.class_names[k] for k in table.labels] == ["a", "b", "b", "a"]
+        raw = fs.load_csv(path)
+        _same_table(fs.preprocess(raw, drop_columns=set()), table)
+        TestPreprocessMatchesRowWiseRule.assert_matches(table, raw)
+
+    def test_clean_numeric_columns_skip_the_cell_by_cell_rule(self, tmp_path, monkeypatch):
+        # Only the label column, which is text, is classified cell by cell,
+        # and each of its cells once.
+        path = tmp_path / "flows.csv"
+        write_flow_csv(path, {"Benign": 1200, "Attack": 800}, seed=6)
+        parse_cell = fs.ingest._parse_cell
+        calls = []
+
+        def counting(text):
+            calls.append(text)
+            return parse_cell(text)
+
+        monkeypatch.setattr(fs.ingest, "_parse_cell", counting)
+        table, rows_in = fs.read_flow_csv(path)
+        assert rows_in == table.n_rows == 2000
+        assert len(calls) == 2000
+        assert sorted(set(calls)) == ["Attack", "Benign"]
 
     def test_ragged_row_names_the_same_line_as_load_csv(self, tmp_path, monkeypatch):
         monkeypatch.setattr(fs.ingest, "PARSE_CHUNK_ROWS", 2)
