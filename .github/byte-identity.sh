@@ -1,11 +1,13 @@
 #!/bin/sh
 # Run `flowshap pipeline --compare` (4 rounds, the perfbench selection
 # settings) on one perfbench/flowgen.py input under this tree and under
-# another checkout, usually the parent commit, and require the prepared tables
-# and report and every model, attribution, ranking and selection artifact to be
-# byte-identical. Then run `flowshap prepare` on a 30,000-row input (about 300
-# dirty rows over 30 parse chunks) under both trees and require its tables and
-# report to be byte-identical too.
+# another checkout, usually the parent commit, once with validation scope and
+# once with test scope (the paper-faithful mode, whose forward pass's own fit
+# is the reduced model), and require the prepared tables and report and every
+# model, attribution, ranking and selection artifact to be byte-identical.
+# Then run `flowshap prepare` on a 30,000-row input (about 300 dirty rows over
+# 30 parse chunks) under both trees and require its tables and report to be
+# byte-identical too.
 #
 # Usage, from the repository root: sh .github/byte-identity.sh OTHER_TREE WORKDIR
 set -eu
@@ -15,28 +17,30 @@ mkdir -p "$2"
 work=$(cd "$2" && pwd)
 csv=$(python perfbench/flowgen.py "$work/cache" 1200 1 0 \
       | python -c "import json, sys; print(json.load(sys.stdin)['path'])")
-for side in new old; do
-    tree=$root
-    [ "$side" = old ] && tree=$other
-    rm -rf "$work/$side"
-    printf '[run]\ninput_csv = %s\nseed = 42\noutput_dir = %s\n[hyperparams]\nn_estimators = 4\n[selection]\nmax_candidates = 16\nevaluation_scope = validation\n' \
-        "$csv" "$work/$side" > "$work/$side.ini"
-    PYTHONPATH="$tree/src" python -m flowshap.cli pipeline --compare --config "$work/$side.ini"
-done
 artifacts() {
     (cd "$1" && ls train_table.npz test_table.npz prepare_report.json model.json \
                    shap_values.csv shap_base_values.json importance_*.csv selection_*.json \
                    model_selected.json comparison.csv)
 }
-cd "$work/new"
-files=$(artifacts .)
-[ "$files" = "$(artifacts ../old)" ]
-for f in $files; do
-    cmp "$f" "../old/$f"
+for scope in validation test; do
+    for side in new old; do
+        tree=$root
+        [ "$side" = old ] && tree=$other
+        dir=$work/$scope-$side
+        rm -rf "$dir"
+        printf '[run]\ninput_csv = %s\nseed = 42\noutput_dir = %s\n[hyperparams]\nn_estimators = 4\n[selection]\nmax_candidates = 16\nevaluation_scope = %s\n' \
+            "$csv" "$dir" "$scope" > "$dir.ini"
+        PYTHONPATH="$tree/src" python -m flowshap.cli pipeline --compare --config "$dir.ini"
+    done
+    files=$(artifacts "$work/$scope-new")
+    [ "$files" = "$(artifacts "$work/$scope-old")" ]
+    for f in $files; do
+        cmp "$work/$scope-new/$f" "$work/$scope-old/$f"
+    done
+    echo "$scope scope: $(echo "$files" | wc -l) artifacts byte-identical"
 done
-echo "$(echo "$files" | wc -l) artifacts byte-identical"
 
-csv=$(python "$root/perfbench/flowgen.py" "$work/cache" 30000 1 0 \
+csv=$(python perfbench/flowgen.py "$work/cache" 30000 1 0 \
       | python -c "import json, sys; print(json.load(sys.stdin)['path'])")
 for side in new old; do
     tree=$root

@@ -2,12 +2,14 @@
 
 Every stage reads and writes files under the configured output directory,
 echoes the effective configuration, and is deterministic for a fixed seed
-(wall-clock timing fields aside).
+(wall-clock timing fields aside). It deletes its report when it starts and
+writes it last, whole, so ``pipeline`` resumes on the report alone.
 """
 
 import argparse
 import csv
 import json
+import os
 import sys
 from dataclasses import astuple, replace
 from pathlib import Path
@@ -32,11 +34,13 @@ EFFECTIVE_CONFIG = "effective_config.ini"
 
 ADDITIVITY_TOLERANCE = 1e-6
 
-# Each stage's artifacts, and the config sections they are made under.
+# Each stage's artifacts, its report last, and the config sections they are
+# made under. A stage deletes its report when it starts and writes it last and
+# whole, after effective_config.ini, so it is done exactly when its report exists.
 STAGES = {
     "prepare": ((TRAIN_TABLE, TEST_TABLE, PREPARE_REPORT), ("run", "split")),
     "train": ((MODEL_FILE, TRAIN_REPORT), ("run", "split", "hyperparams")),
-    "explain": ((SHAP_VALUES, SHAP_BASES, GLOBAL_RANKING), ("run", "split", "hyperparams", "explain")),
+    "explain": ((SHAP_VALUES, GLOBAL_RANKING, SHAP_BASES), ("run", "split", "hyperparams", "explain")),
     "select": ((SELECT_REPORT,), ("run", "split", "hyperparams", "explain", "selection")),
 }
 
@@ -46,7 +50,8 @@ def _outdir(cfg: RunConfig, stage: str | None = None) -> tuple[RunConfig, Path]:
     differs in a key that an artifact this run keeps was made under: any key for
     the pipeline (no ``stage``); for a stage, the prepared tables' keys and those
     of every other stage whose artifacts exist. A run without an input CSV takes
-    the recorded one: only prepare reads it, and only prepare makes the directory."""
+    the recorded one: only prepare reads it, and only prepare makes the directory.
+    A stage's report is deleted once the config is accepted."""
     out = Path(cfg.output_dir)
     recorded = out / EFFECTIVE_CONFIG
     if recorded.exists():
@@ -62,13 +67,17 @@ def _outdir(cfg: RunConfig, stage: str | None = None) -> tuple[RunConfig, Path]:
         if changed:
             raise ValueError(f"{recorded} records a run with different {', '.join(changed)}; "
                              "use a fresh output directory")
+    if stage:
+        (out / STAGES[stage][0][-1]).unlink(missing_ok=True)
     return cfg, out
 
 
 def _write_json(doc, path: Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write ``doc`` whole or not at all: to ``<name>.partial``, then renamed."""
+    with open(f"{path}.partial", "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
+    os.replace(fh.name, path)
 
 
 def _safe_name(name: str) -> str:
@@ -108,8 +117,8 @@ def cmd_prepare(cfg: RunConfig) -> dict:
             name: float(cw.weights[k]) for k, name in enumerate(table.class_names)
         },
     }
-    _write_json(report, out / PREPARE_REPORT)
     write_config_file(cfg, out / EFFECTIVE_CONFIG)
+    _write_json(report, out / PREPARE_REPORT)
     return report
 
 
@@ -126,8 +135,8 @@ def cmd_train(cfg: RunConfig) -> metrics.EvalReport:
     cfg, out = _outdir(cfg, "train")
     ens, report = metrics.fit_and_evaluate(*_load_tables(out), cfg.hyperparams())
     gbt.save_model(ens, out / MODEL_FILE)
-    _write_json(metrics.report_to_dict(report), out / TRAIN_REPORT)
     write_config_file(cfg, out / EFFECTIVE_CONFIG)
+    _write_json(metrics.report_to_dict(report), out / TRAIN_REPORT)
     return report
 
 
@@ -149,14 +158,14 @@ def cmd_explain(cfg: RunConfig) -> explain.ShapMatrix:
             f"attributions miss the margins by {error:.3g}, above {ADDITIVITY_TOLERANCE:g}"
         )
     explain.write_shap_csv(shap, ens.class_names, out / SHAP_VALUES)
-    bases = {name: float(shap.base_values[k]) for k, name in enumerate(ens.class_names)}
-    _write_json({"base_values": bases}, out / SHAP_BASES)
     explain.write_ranking_csv(explain.global_importance(shap), out / GLOBAL_RANKING)
     for k, name in enumerate(ens.class_names):
         explain.write_ranking_csv(
             explain.per_class_importance(shap, k), out / _class_ranking_file(k, name)
         )
     write_config_file(cfg, out / EFFECTIVE_CONFIG)
+    bases = {name: float(shap.base_values[k]) for k, name in enumerate(ens.class_names)}
+    _write_json({"base_values": bases}, out / SHAP_BASES)
     return shap
 
 
@@ -196,16 +205,11 @@ def _run_method(cfg: RunConfig, method: str, out: Path, train_t, test_t) -> sele
 def cmd_select(cfg: RunConfig, compare: bool = False) -> dict:
     """Select features, retrain the reduced model, and report test metrics."""
     cfg, out = _outdir(cfg, "select")
-    train_t, test_t = _load_tables(out)
-    methods = list(SELECTION_METHODS) if compare else [cfg.method]
-    # An earlier run's selection artifacts that this one might not rewrite.
-    for name in [SELECTED_MODEL, *([] if compare else [COMPARISON]),
-                 *(_selection_file(m) for m in SELECTION_METHODS if m not in methods)]:
+    for name in [SELECTED_MODEL, COMPARISON, *map(_selection_file, SELECTION_METHODS)]:
         (out / name).unlink(missing_ok=True)
-
+    train_t, test_t = _load_tables(out)
     rows = []
-    primary_report = {}
-    for method in methods:
+    for method in SELECTION_METHODS if compare else [cfg.method]:
         result = _run_method(cfg, method, out, train_t, test_t)
         _write_json(selection.selection_to_dict(result), out / _selection_file(method))
         if result.fit is None:
@@ -216,9 +220,7 @@ def cmd_select(cfg: RunConfig, compare: bool = False) -> dict:
             if method == cfg.method:
                 gbt.save_model(ens, out / SELECTED_MODEL)
         if method == cfg.method:
-            doc["selected_features"] = list(result.selected)
-            _write_json(doc, out / SELECT_REPORT)
-            primary_report = doc
+            primary_report = {**doc, "selected_features": list(result.selected)}
         rows.append([method, ";".join(result.selected), *map(repr, astuple(macro))])
     if compare:
         with open(out / COMPARISON, "w", newline="", encoding="utf-8") as fh:
@@ -226,27 +228,22 @@ def cmd_select(cfg: RunConfig, compare: bool = False) -> dict:
             writer.writerow(["method", "features", "macro_precision", "macro_recall", "macro_f1"])
             writer.writerows(rows)
     write_config_file(cfg, out / EFFECTIVE_CONFIG)
+    _write_json(primary_report, out / SELECT_REPORT)
     return primary_report
 
 
-def _stage_done(out: Path, files) -> bool:
-    return all((out / f).exists() for f in files)
-
-
 def cmd_pipeline(cfg: RunConfig, compare: bool = False) -> None:
-    """Run every stage in order, skipping stages whose outputs already exist.
+    """Run every stage in order, skipping each stage whose report exists; under
+    ``compare``, select also runs when ``comparison.csv`` is missing.
 
     Refuses a directory whose recorded configuration differs from this run's
     in anything but the output directory, since its artifacts are stale.
     """
     cfg, out = _outdir(cfg)
     for stage, run in (("prepare", cmd_prepare), ("train", cmd_train), ("explain", cmd_explain)):
-        if not _stage_done(out, STAGES[stage][0]):
+        if not (out / STAGES[stage][0][-1]).exists():
             run(cfg)
-    select_outputs = [_selection_file(cfg.method), *STAGES["select"][0]]
-    if compare:
-        select_outputs.append(COMPARISON)
-    if not _stage_done(out, select_outputs):
+    if not (out / SELECT_REPORT).exists() or compare and not (out / COMPARISON).exists():
         cmd_select(cfg, compare=compare)
 
 

@@ -56,6 +56,8 @@ class Hyperparams:
         for f in fields(self):
             if f.type is int and type(getattr(self, f.name)) is not int:
                 raise ValueError(f"{f.name} must be an integer")
+            if f.type is float and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         if self.n_estimators < 0:
             raise ValueError("n_estimators must be nonnegative")
         if not 0.0 < self.learning_rate <= 1.0:

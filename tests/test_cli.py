@@ -2,6 +2,8 @@
 
 import csv
 import json
+import os
+import shutil
 from dataclasses import replace
 from pathlib import Path
 
@@ -35,6 +37,21 @@ def prepared(tmp_path):
 def read_json(path):
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def stop(*args, **kwargs):
+    """Stand-in for the call a stage makes next: the stage is interrupted there."""
+    raise KeyboardInterrupt
+
+
+def assert_same_artifacts(out, ref):
+    """Same file names; same bytes, but for the config record (it names its
+    directory) and the reports that hold wall-clock timings."""
+    names = sorted(path.name for path in Path(out).iterdir())
+    assert names == sorted(path.name for path in Path(ref).iterdir())
+    for name in names:
+        if name not in (cli.EFFECTIVE_CONFIG, cli.TRAIN_REPORT, cli.SELECT_REPORT):
+            assert (Path(out) / name).read_bytes() == (Path(ref) / name).read_bytes(), name
 
 
 class TestPrepare:
@@ -222,6 +239,18 @@ class TestSelect:
         expected = fs.serialize(fs.train(weighted, cfg.hyperparams()))
         assert Path(f"{cfg.output_dir}/{cli.SELECTED_MODEL}").read_bytes() == expected
 
+    def test_shap_ranking_without_explain_selects_as_after_explain(self, tmp_path):
+        # Without explain's ranking file, select recomputes TreeSHAP in memory.
+        write_flow_csv(tmp_path / "flows.csv", {"Benign": 40, "Pivoting": 20, "Recon": 20}, seed=2)
+        config = TestPipeline.write_config(tmp_path, "a.ini", TestPipeline.HYPER)
+        runs = {"direct": ("prepare", "train", "select"), "explained": ("prepare", "train", "explain", "select")}
+        for name, stages in runs.items():
+            for stage in stages:
+                assert cli.main([stage, "--config", str(config), "--output-dir", str(tmp_path / name)]) == 0
+        assert not (tmp_path / "direct" / cli.GLOBAL_RANKING).exists()
+        for name in (cli._selection_file("shap"), cli.SELECTED_MODEL):
+            assert (tmp_path / "direct" / name).read_bytes() == (tmp_path / "explained" / name).read_bytes()
+
     def test_compare_writes_table(self, prepared):
         cfg, _, _ = prepared
         cli.cmd_train(cfg)
@@ -395,6 +424,92 @@ class TestPipeline:
         with open(out / cli.COMPARISON, newline="", encoding="utf-8") as fh:
             rows = {r["method"]: r["features"].split(";") for r in csv.DictReader(fh)}
         assert all(len(rows[m]) == 5 for m in filters)
+
+    # A stage is done exactly when its report exists: it deletes the report when
+    # it starts and writes it last, so an interrupted stage reruns on resume.
+    HYPER = "[hyperparams]\nn_estimators = 2\nmax_depth = 2\n"
+
+    def test_resume_after_explain_stopped_before_the_class_rankings(self, tmp_path, monkeypatch):
+        write_flow_csv(tmp_path / "flows.csv", {"Benign": 40, "Pivoting": 20, "Recon": 20}, seed=2)
+        a = self.write_config(tmp_path, "a.ini", self.HYPER)
+        for stage in ("prepare", "train"):
+            assert cli.main([stage, "--config", str(a)]) == 0
+        with monkeypatch.context() as m:
+            m.setattr(cli.explain, "per_class_importance", stop)
+            with pytest.raises(KeyboardInterrupt):
+                cli.main(["explain", "--config", str(a)])
+        out = tmp_path / "out"
+        assert (out / cli.GLOBAL_RANKING).exists()
+        assert not list(out.glob("importance_class_*.csv"))
+        assert cli.main(["pipeline", "--config", str(a)]) == 0
+        assert len(list(out.glob("importance_class_*.csv"))) == 3
+        assert cli.main(["pipeline", "--config", str(a), "--output-dir", str(tmp_path / "ref")]) == 0
+        assert_same_artifacts(out, tmp_path / "ref")
+
+    def test_resume_after_select_stopped_mid_run(self, tmp_path, monkeypatch):
+        write_flow_csv(tmp_path / "flows.csv", {"Benign": 40, "Pivoting": 20, "Recon": 20}, seed=2)
+        a = self.write_config(tmp_path, "a.ini", self.HYPER)
+        out = tmp_path / "out"
+        assert cli.main(["pipeline", "--config", str(a)]) == 0
+        shutil.copytree(out, tmp_path / "ref")
+        with monkeypatch.context() as m:
+            m.setattr(cli.selection, "forward_select", stop)
+            with pytest.raises(KeyboardInterrupt):
+                cli.main(["select", "--config", str(a), "--max-candidates", "30"])
+        assert not (out / cli.SELECT_REPORT).exists()
+        assert cli.main(["pipeline", "--config", str(a)]) == 0
+        assert (out / cli.SELECTED_MODEL).exists()
+        assert_same_artifacts(out, tmp_path / "ref")
+
+    def test_resume_after_prepare_stopped_before_its_config_record(self, tmp_path, monkeypatch):
+        write_flow_csv(tmp_path / "flows.csv", {"Benign": 40, "Pivoting": 20, "Recon": 20}, seed=2)
+        a = self.write_config(tmp_path, "a.ini", self.HYPER)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "write_config_file", stop)
+            with pytest.raises(KeyboardInterrupt):
+                cli.main(["prepare", "--config", str(a), "--seed", "1"])
+        out = tmp_path / "out"
+        assert (out / cli.TRAIN_TABLE).exists()
+        assert cli.main(["pipeline", "--config", str(a), "--seed", "2"]) == 0
+        assert cli.main(["pipeline", "--config", str(a), "--seed", "2", "--output-dir", str(tmp_path / "ref")]) == 0
+        assert (out / cli.TRAIN_TABLE).read_bytes() == (tmp_path / "ref" / cli.TRAIN_TABLE).read_bytes()
+        assert_same_artifacts(out, tmp_path / "ref")
+
+    def test_report_write_that_fails_halfway_leaves_no_report(self, prepared, monkeypatch):
+        cfg, _, _ = prepared
+        out = Path(cfg.output_dir)
+        dump = json.dump
+
+        def failing_dump(doc, fh, **kwargs):
+            if Path(fh.name).name.startswith(cli.TRAIN_REPORT):
+                fh.write('{"accuracy": ')
+                raise OSError("no space left on device")
+            dump(doc, fh, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(json, "dump", failing_dump)
+            with pytest.raises(OSError):
+                cli.cmd_train(cfg)
+        assert (out / cli.MODEL_FILE).exists()
+        assert not (out / cli.TRAIN_REPORT).exists()
+        cli.cmd_pipeline(cfg)
+        assert "accuracy" in read_json(out / cli.TRAIN_REPORT)
+
+    def test_pipeline_renames_each_report_into_place_last(self, prepared, monkeypatch):
+        cfg, _, tmp_path = prepared
+        cfg = replace(cfg, output_dir=str(tmp_path / "fresh"))
+        real_replace, renamed = os.replace, []
+
+        def spy(src, dst):
+            renamed.append(Path(dst).name)
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", spy)
+        cli.cmd_pipeline(cfg, compare=True)
+        reports = [cli.PREPARE_REPORT, cli.TRAIN_REPORT, cli.SHAP_BASES, cli.SELECT_REPORT]
+        assert [name for name in renamed if name in reports] == reports
+        assert renamed[-1] == cli.SELECT_REPORT
+        assert not list(Path(cfg.output_dir).glob("*.partial"))
 
     def test_select_that_selects_nothing_leaves_no_reduced_model(self, prepared, monkeypatch):
         cfg, _, _ = prepared
@@ -578,6 +693,20 @@ class TestConfigSchema:
         assert "\n" not in err
         assert "max_depth" in json.loads(err)["message"]
         assert not (out / cli.TRAIN_TABLE).exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("key", ["min_child_weight", "gamma", "lambda", "alpha", "base_score"])
+    def test_non_finite_hyperparameter_is_one_json_line(self, tmp_path, capsys, key, value):
+        write_flow_csv(tmp_path / "flows.csv", {"Benign": 20, "Recon": 10}, seed=4)
+        good = TestPipeline.write_config(tmp_path, "good.ini")
+        bad = TestPipeline.write_config(tmp_path, "bad.ini", f"[hyperparams]\n{key} = {value}\n")
+        assert cli.main(["prepare", "--config", str(good)]) == 0
+        capsys.readouterr()
+        assert cli.main(["train", "--config", str(bad)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert "must be finite" in json.loads(lines[0])["message"]
+        assert not (tmp_path / "out" / cli.MODEL_FILE).exists()
 
     def test_flags_cover_their_fields(self, tmp_path):
         args = cli._build_parser().parse_args([
