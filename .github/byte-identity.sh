@@ -6,7 +6,8 @@
 # is the reduced model), and require the prepared tables and report and every
 # model, attribution, ranking and selection artifact to be byte-identical.
 # Then run `flowshap prepare` on a 30,000-row input (about 300 dirty rows over
-# 30 parse chunks) under both trees and require its tables and report to be
+# 30 parse chunks), on a copy with CRLF line ends and on a copy with one quoted
+# cell, under both trees, and require each one's tables and report to be
 # byte-identical too.
 #
 # Usage, from the repository root: sh .github/byte-identity.sh OTHER_TREE WORKDIR
@@ -42,14 +43,30 @@ done
 
 csv=$(python perfbench/flowgen.py "$work/cache" 30000 1 0 \
       | python -c "import json, sys; print(json.load(sys.stdin)['path'])")
-for side in new old; do
-    tree=$root
-    [ "$side" = old ] && tree=$other
-    rm -rf "$work/prepare-$side"
-    PYTHONPATH="$tree/src" python -m flowshap.cli prepare --input "$csv" --seed 42 \
-        --output-dir "$work/prepare-$side"
+# Two copies of it: with CRLF line ends (parsed in line-aligned byte ranges, one
+# per CPU) and with one quoted cell (a quote makes the parse one range).
+python - "$csv" "$work/crlf.csv" "$work/quoted.csv" <<'EOF_PY'
+import sys
+source, crlf, quoted = sys.argv[1:]
+with open(source, "rb") as fh:
+    data = fh.read()
+with open(crlf, "wb") as fh:
+    fh.write(data.replace(b"\n", b"\r\n"))
+header, first, rest = data.split(b"\n", 2)
+cells, label = first.rsplit(b",", 1)
+with open(quoted, "wb") as fh:
+    fh.write(b"\n".join([header, cells + b',"' + label + b'"', rest]))
+EOF_PY
+for input in "$csv" "$work/crlf.csv" "$work/quoted.csv"; do
+    for side in new old; do
+        tree=$root
+        [ "$side" = old ] && tree=$other
+        rm -rf "$work/prepare-$side"
+        PYTHONPATH="$tree/src" python -m flowshap.cli prepare --input "$input" --seed 42 \
+            --output-dir "$work/prepare-$side"
+    done
+    for f in train_table.npz test_table.npz prepare_report.json; do
+        cmp "$work/prepare-new/$f" "$work/prepare-old/$f"
+    done
+    echo "30,000-row prepare of $(basename "$input"): 3 artifacts byte-identical"
 done
-for f in train_table.npz test_table.npz prepare_report.json; do
-    cmp "$work/prepare-new/$f" "$work/prepare-old/$f"
-done
-echo "30,000-row prepare: 3 artifacts byte-identical"

@@ -74,18 +74,24 @@ def _outdir(cfg: RunConfig, stage: str | None = None) -> tuple[RunConfig, Path]:
 
 def _write_json(doc, path: Path) -> None:
     """Write ``doc`` whole or not at all: to ``<name>.partial``, then renamed."""
-    with open(f"{path}.partial", "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
-    os.replace(fh.name, path)
+    try:
+        with open(f"{path}.partial", "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=2)
+            fh.write("\n")
+        os.replace(fh.name, path)
+    finally:
+        Path(f"{path}.partial").unlink(missing_ok=True)
 
 
-def _safe_name(name: str) -> str:
-    return "".join(c if c.isalnum() else "_" for c in name)
+def _completed(out: Path, stage: str) -> Path:
+    """``out``, once ``stage`` has completed there: its report, written last, exists."""
+    if not (out / STAGES[stage][0][-1]).exists():
+        raise FileNotFoundError(f"{stage} has not completed under {out}; run {stage} first")
+    return out
 
 
 def _class_ranking_file(k: int, name: str) -> str:
-    return f"importance_class_{k:02d}_{_safe_name(name)}.csv"
+    return f"importance_class_{k:02d}_{''.join(c if c.isalnum() else '_' for c in name)}.csv"
 
 
 def _selection_file(method: str) -> str:
@@ -123,11 +129,7 @@ def cmd_prepare(cfg: RunConfig) -> dict:
 
 
 def _load_tables(out: Path):
-    train_path = out / TRAIN_TABLE
-    test_path = out / TEST_TABLE
-    if not train_path.exists() or not test_path.exists():
-        raise FileNotFoundError(f"prepared tables not found under {out}; run prepare first")
-    return ingest.load_table(train_path), ingest.load_table(test_path)
+    return ingest.load_table(_completed(out, "prepare") / TRAIN_TABLE), ingest.load_table(out / TEST_TABLE)
 
 
 def cmd_train(cfg: RunConfig) -> metrics.EvalReport:
@@ -148,7 +150,7 @@ def cmd_explain(cfg: RunConfig) -> explain.ShapMatrix:
     """Attribute margins over the chosen rows, verify additivity, and export
     values and rankings."""
     cfg, out = _outdir(cfg, "explain")
-    ens = gbt.load_model(out / MODEL_FILE)
+    ens = gbt.load_model(_completed(out, "train") / MODEL_FILE)
     table = _explained_rows(cfg, *_load_tables(out))
     shap = explain.tree_shap(ens, table)
     reconstructed = shap.base_values + shap.values.sum(axis=2)
@@ -170,10 +172,9 @@ def cmd_explain(cfg: RunConfig) -> explain.ShapMatrix:
 
 
 def _shap_ranking(cfg: RunConfig, out: Path, train_t, test_t) -> explain.ImportanceRanking:
-    path = out / GLOBAL_RANKING
-    if path.exists():
-        return explain.read_ranking_csv(path)
-    ens = gbt.load_model(out / MODEL_FILE)
+    if (out / SHAP_BASES).exists():  # explain completed
+        return explain.read_ranking_csv(out / GLOBAL_RANKING)
+    ens = gbt.load_model(_completed(out, "train") / MODEL_FILE)
     return explain.global_importance(explain.tree_shap(ens, _explained_rows(cfg, train_t, test_t)))
 
 

@@ -11,7 +11,12 @@ exact: ``float`` strips a subset of the whitespace ``str.strip`` removes, so if
 """
 
 import csv
+import io
 import math
+import os
+import pickle
+import signal
+from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from itertools import chain, compress, islice, zip_longest
 from operator import itemgetter
@@ -35,6 +40,7 @@ DEFAULT_LABEL_COLUMN = "Stage"
 
 # Rows parsed at a time: the cell text of one chunk is all the CSV text held.
 PARSE_CHUNK_ROWS = 1024
+MIN_RANGE_BYTES = 1 << 20  # bytes of a parse range at least; the scan that cuts ranges reads 1/16 at a time
 
 
 class ParseError(ValueError):
@@ -135,24 +141,44 @@ class SplitSpec:
             raise ValueError("train_fraction must lie in (0, 1)")
 
 
-def _read_rows(path):
-    """Yield a header-first CSV's stripped header names, then each data row as
-    raw text cells in file order. A byte-order mark is dropped and blank lines
-    are skipped; a row of another width raises ``ParseError`` naming its line."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or all(c.strip() == "" for c in header):
-            raise ParseError(f"{path}: missing header")
-        names = [c.strip() for c in header]
-        dupes = sorted({n for n in names if names.count(n) > 1})
-        if dupes:
-            raise SchemaError(f"{path}: duplicate header names: {dupes}")
-        yield names
+def _read_rows(path, start=0, lines=None, width=None, line0=0):
+    """Yield at byte 0 the header's stripped names (BOM dropped), then each row's text cells in ``lines``
+    lines (None: to EOF) from ``start``; a row of another width raises ``ParseError`` naming its line."""
+    with io.TextIOWrapper(open(path, "rb"), "utf-8" if start else "utf-8-sig", newline="") as text:
+        text.buffer.seek(start)
+        reader = csv.reader(islice(text, lines))
+        if not start:
+            header = next(reader, None)
+            if not header or all(c.strip() == "" for c in header):
+                raise ParseError(f"{path}: missing header")
+            names = [c.strip() for c in header]
+            dupes = sorted({n for n in names if names.count(n) > 1})
+            if dupes:
+                raise SchemaError(f"{path}: duplicate header names: {dupes}")
+            yield names
+            width = len(names)
         for row in filter(None, reader):
-            if len(row) != len(names):
-                raise ParseError(f"{path}: line {reader.line_num}: expected {len(names)} cells, got {len(row)}")
+            if len(row) != width:
+                raise ParseError(f"{path}: line {line0 + reader.line_num}: expected {width} cells, got {len(row)}")
             yield row
+
+
+def _byte_ranges(path) -> list:
+    """[start byte, line count (None: to EOF), lines before] of each range to parse, cut after
+    newlines, at most one per CPU and ``MIN_RANGE_BYTES``; one if the CPU count is unknown, a
+    field may span lines (a quote) or lines would count differently (a lone carriage return)."""
+    size = os.path.getsize(path)
+    parts = min(len(os.sched_getaffinity(0)), size // MIN_RANGE_BYTES) if hasattr(os, "sched_getaffinity") else 1
+    ranges, lines = [[0, None, 0]], 0
+    with open(path, "rb") as fh:
+        while parts > 1 and (block := fh.read(MIN_RANGE_BYTES >> 4) + fh.readline()):
+            if b'"' in block or b"\r" in block and block.count(b"\r") != block.count(b"\r\n"):
+                return [[0, None, 0]]
+            if fh.tell() - len(block) >= size * len(ranges) // parts:  # the block starts a range
+                ranges[-1][1] = lines - ranges[-1][2]
+                ranges.append([fh.tell() - len(block), None, lines])
+            lines += block.count(b"\n")
+    return ranges
 
 
 def load_csv(path) -> RawTable:
@@ -180,12 +206,13 @@ def _parse_cell(text: str):
 def _parse_column(rows, c: int):
     """Column ``c`` as float64 values (NaN where null or text) plus null and
     text masks, by ``_parse_cell``'s rule: one C-level ``float`` pass, or, if a
-    cell fails it (an empty or text cell), ``_parse_cell`` on every cell."""
+    cell fails it (an empty or text cell), ``_parse_cell`` on each distinct cell."""
     n = len(rows)
     try:
         values = np.fromiter(map(float, map(itemgetter(c), rows)), dtype=np.float64, count=n)
-    except ValueError:  # an empty or text cell somewhere in the chunk
-        cells = list(map(_parse_cell, map(itemgetter(c), rows)))
+    except ValueError:  # an empty or text cell somewhere in the chunk: classify each text once
+        texts = list(map(itemgetter(c), rows))
+        cells = list(map({s: _parse_cell(s) for s in set(texts)}.__getitem__, texts))
         text = np.fromiter((isinstance(v, str) for v in cells), dtype=bool, count=n)
         values = np.fromiter((v if isinstance(v, float) else math.nan for v in cells),
                              dtype=np.float64, count=n)
@@ -197,8 +224,8 @@ def _parse_column(rows, c: int):
 
 def read_flow_csv(path, drop_columns=None, label_column=DEFAULT_LABEL_COLUMN) -> tuple[FlowTable, int]:
     """``preprocess(load_csv(path))`` and the number of data rows read, holding
-    the cell text of at most ``PARSE_CHUNK_ROWS`` rows at a time."""
-    return _parse_table(lambda: _read_rows(path), drop_columns, label_column)
+    the cell text of at most ``PARSE_CHUNK_ROWS`` rows per range at a time."""
+    return _parse_table(lambda n=None: _read_rows(path, 0, n), drop_columns, label_column, path, _byte_ranges(path))
 
 
 def preprocess(raw: RawTable, drop_columns=None, label_column: str = DEFAULT_LABEL_COLUMN) -> FlowTable:
@@ -208,13 +235,13 @@ def preprocess(raw: RawTable, drop_columns=None, label_column: str = DEFAULT_LAB
     removed entirely; remaining categorical columns (and the label) are
     integer-coded by lexicographic order of their distinct values.
     """
-    return _parse_table(lambda: chain([raw.column_names], raw.rows), drop_columns, label_column)[0]
+    return _parse_table(lambda n=None: chain([raw.column_names], raw.rows), drop_columns, label_column)[0]
 
 
-def _parse_table(read, drop_columns, label_column: str) -> tuple[FlowTable, int]:
-    """``preprocess`` of ``read()`` (the header names, then the rows) and its row
-    count; ``read`` is called a second time only if a text column survives."""
-    rows = read()
+def _parse_table(read, drop_columns, label_column: str, path=None, ranges=((0, None, 0),)) -> tuple[FlowTable, int]:
+    """``preprocess`` of ``read(line count)``, the header names and the first range's rows, joined in file
+    order with the other ``ranges`` of ``path``, each parsed by a forked child; and the row count."""
+    rows = read(ranges[0][1])
     names = next(rows)
     drops = set(DEFAULT_DROP_COLUMNS if drop_columns is None else drop_columns)
     if label_column not in names:
@@ -230,33 +257,57 @@ def _parse_table(read, drop_columns, label_column: str) -> tuple[FlowTable, int]
     kept_cols = [col_index[c] for c in kept]
     label_idx = col_index[label_column]
 
-    # Parse chunk by chunk; a row survives only if no retained cell (label
-    # included) is null. Of a chunk's text, only surviving label cells outlive it.
-    blocks, keeps, label_values = [], [], []
-    has_text = np.zeros(len(kept), dtype=bool)
-    while chunk := list(islice(rows, PARSE_CHUNK_ROWS)):
-        values = np.empty((len(chunk), len(kept)), dtype=np.float64)
-        is_text = np.empty((len(chunk), len(kept)), dtype=bool)
-        keep = ~_parse_column(chunk, label_idx)[1]
-        for j, c in enumerate(kept_cols):
-            values[:, j], null, is_text[:, j] = _parse_column(chunk, c)
-            keep &= ~null
-        blocks.append(values[keep])
-        keeps.append(keep)
-        has_text |= is_text[keep].any(axis=0)
-        label_values += [row[label_idx].strip() for row in compress(chunk, keep)]
+    def parse(rows):  # a range's float blocks, keep masks, has-text mask and surviving label texts
+        # A row survives if no retained cell is null; of a chunk's text, only surviving labels outlive it.
+        blocks, keeps, label_values = [], [], []
+        has_text = np.zeros(len(kept), dtype=bool)
+        while chunk := list(islice(rows, PARSE_CHUNK_ROWS)):
+            values = np.empty((len(chunk), len(kept)), dtype=np.float64)
+            is_text = np.empty((len(chunk), len(kept)), dtype=bool)
+            keep = ~_parse_column(chunk, label_idx)[1]
+            for j, c in enumerate(kept_cols):
+                values[:, j], null, is_text[:, j] = _parse_column(chunk, c)
+                keep &= ~null
+            blocks.append(values[keep])
+            keeps.append(keep)
+            has_text |= is_text[keep].any(axis=0)
+            label_values += [row[label_idx].strip() for row in compress(chunk, keep)]
+        return blocks, keeps, has_text, label_values
+    with ExitStack() as children:  # reaps every child on exit: closes its pipe, kills it, waits
+        pipes = []
+        for start, lines, line0 in ranges[1:]:
+            r, w = os.pipe()
+            if (pid := os.fork()) == 0:
+                try:  # a child never returns into the caller, nor flushes its buffers
+                    with open(w, "wb") as pipe:
+                        try:
+                            part = parse(_read_rows(path, start, lines, len(names), line0))
+                        except BaseException as exc:
+                            part = exc
+                        pickle.dump(part, pipe, pickle.HIGHEST_PROTOCOL)
+                finally:
+                    os._exit(0)
+            children.callback(os.waitpid, pid, 0)
+            children.callback(os.kill, pid, signal.SIGKILL)
+            pipes.append(children.enter_context(open(r, "rb")))
+            os.close(w)
+        parts = [parse(rows), *map(pickle.load, pipes)]
+    for error in (part for part in parts if isinstance(part, BaseException)):
+        raise error
+    blocks, keeps, has_text, label_values = zip(*parts)
+    label_values = [*chain(*label_values)]
     if not label_values:
         raise ValueError("empty table after preprocessing")
-    features = np.concatenate(blocks)
-    del blocks
+    features = np.concatenate([*chain(*blocks)])
+    del parts, blocks
 
     # A column is numeric iff no surviving cell is categorical text; text
     # columns are coded from the original stripped cell text, read again.
-    text_cols = np.flatnonzero(has_text)
+    text_cols = np.flatnonzero(np.any(has_text, axis=0))
     if text_cols.size:
         source_cols = [kept_cols[j] for j in text_cols]
         picked = []
-        for row, survives in zip_longest(islice(read(), 1, None), np.concatenate(keeps).tolist()):
+        for row, survives in zip_longest(islice(read(), 1, None), np.concatenate([*chain(*keeps)]).tolist()):
             if row is None or survives is None:
                 raise ParseError("input changed between its two reads: the row count differs")
             if survives:
@@ -270,12 +321,7 @@ def _parse_table(read, drop_columns, label_column: str) -> tuple[FlowTable, int]
     labels = np.array([encoder[v] for v in label_values], dtype=np.int64)
 
     return FlowTable(feature_names=kept, features=features, labels=labels, class_names=class_names,
-                     sample_weights=np.ones(len(labels))), sum(map(len, keeps))
-
-
-def _train_count(fraction: float, count: int) -> int:
-    # round(fraction * count) with exact halves going down
-    return int(math.ceil(fraction * count - 0.5))
+                     sample_weights=np.ones(len(labels))), sum(map(len, chain(*keeps)))
 
 
 def stratified_split(table: FlowTable, spec: SplitSpec) -> tuple[FlowTable, FlowTable]:
@@ -289,7 +335,7 @@ def stratified_split(table: FlowTable, spec: SplitSpec) -> tuple[FlowTable, Flow
             raise ValueError(f"class {table.class_names[k]!r} has a single sample; cannot split stratified")
         rows = rows.tolist()
         rng.shuffle(rows)
-        train[rows[:_train_count(spec.train_fraction, len(rows))]] = True
+        train[rows[:math.ceil(spec.train_fraction * len(rows) - 0.5)]] = True  # rounded, exact halves down
     return table.take(np.flatnonzero(train)), table.take(np.flatnonzero(~train))
 
 
@@ -302,9 +348,7 @@ def class_weights(labels, n_classes: int) -> ClassWeights:
     absent = np.nonzero(counts == 0)[0]
     if absent.size:
         raise ValueError(f"class index {int(absent[0])} has no samples")
-    total = int(labels.size)
-    weights = total / (n_classes * counts)
-    return ClassWeights(weights=weights, class_counts=counts, total=total)
+    return ClassWeights(weights=labels.size / (n_classes * counts), class_counts=counts, total=labels.size)
 
 
 def apply_sample_weights(table: FlowTable, cw: ClassWeights) -> FlowTable:

@@ -492,8 +492,48 @@ class TestPipeline:
                 cli.cmd_train(cfg)
         assert (out / cli.MODEL_FILE).exists()
         assert not (out / cli.TRAIN_REPORT).exists()
+        assert not list(out.glob("*.partial"))
         cli.cmd_pipeline(cfg)
         assert "accuracy" in read_json(out / cli.TRAIN_REPORT)
+
+    def test_stage_after_an_interrupted_producer_is_refused(self, tmp_path, monkeypatch, capsys):
+        # A train stopped before its report leaves a 2-round model.json beside
+        # the 4-round config record: explain and select must not read it.
+        write_flow_csv(tmp_path / "flows.csv", {"Benign": 40, "Pivoting": 20, "Recon": 20}, seed=2)
+        four = self.write_config(tmp_path, "four.ini", "[hyperparams]\nn_estimators = 4\nmax_depth = 2\n")
+        two = self.write_config(tmp_path, "two.ini", self.HYPER)
+        for stage in ("prepare", "train"):
+            assert cli.main([stage, "--config", str(four)]) == 0
+        out = tmp_path / "out"
+        with monkeypatch.context() as m:
+            m.setattr(cli, "write_config_file", stop)
+            with pytest.raises(KeyboardInterrupt):
+                cli.main(["train", "--config", str(two)])
+        assert (out / cli.MODEL_FILE).exists() and not (out / cli.TRAIN_REPORT).exists()
+        capsys.readouterr()
+        for stage in ("explain", "select"):
+            assert cli.main([stage, "--config", str(four)]) == 1
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"] == "FileNotFoundError" and err["message"].endswith("run train first")
+        (out / cli.PREPARE_REPORT).unlink()
+        assert cli.main(["train", "--config", str(four)]) == 1
+        assert json.loads(capsys.readouterr().err)["message"].endswith("run prepare first")
+
+    def test_select_recomputes_a_ranking_that_explain_did_not_finish(self, tmp_path, monkeypatch):
+        write_flow_csv(tmp_path / "flows.csv", {"Benign": 40, "Pivoting": 20, "Recon": 20}, seed=2)
+        a = self.write_config(tmp_path, "a.ini", self.HYPER)
+        assert cli.main(["pipeline", "--config", str(a), "--output-dir", str(tmp_path / "ref")]) == 0
+        for stage in ("prepare", "train"):
+            assert cli.main([stage, "--config", str(a)]) == 0
+        with monkeypatch.context() as m:
+            m.setattr(cli.explain, "per_class_importance", stop)
+            with pytest.raises(KeyboardInterrupt):
+                cli.main(["explain", "--config", str(a)])
+        out = tmp_path / "out"
+        (out / cli.GLOBAL_RANKING).write_text("feature,importance\n", encoding="utf-8")
+        assert cli.main(["select", "--config", str(a)]) == 0
+        name = cli._selection_file("shap")
+        assert (out / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
 
     def test_pipeline_renames_each_report_into_place_last(self, prepared, monkeypatch):
         cfg, _, tmp_path = prepared

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -284,8 +285,11 @@ class TestReadFlowCsv:
         TestPreprocessMatchesRowWiseRule.assert_matches(table, raw)
 
     def test_clean_numeric_columns_skip_the_cell_by_cell_rule(self, tmp_path, monkeypatch):
-        # Only the label column, which is text, is classified cell by cell,
-        # and each of its cells once.
+        # Only the label column, which is text, is classified cell by cell, and
+        # each distinct label of a chunk once: 800 Attack rows then 1,200 Benign
+        # rows make a chunk of both and a chunk of Benign alone. One range, so
+        # that every cell is parsed in this process.
+        monkeypatch.setattr(fs.ingest, "MIN_RANGE_BYTES", 1 << 40)
         path = tmp_path / "flows.csv"
         write_flow_csv(path, {"Benign": 1200, "Attack": 800}, seed=6)
         parse_cell = fs.ingest._parse_cell
@@ -298,7 +302,7 @@ class TestReadFlowCsv:
         monkeypatch.setattr(fs.ingest, "_parse_cell", counting)
         table, rows_in = fs.read_flow_csv(path)
         assert rows_in == table.n_rows == 2000
-        assert len(calls) == 2000
+        assert len(calls) == 3
         assert sorted(set(calls)) == ["Attack", "Benign"]
 
     def test_ragged_row_names_the_same_line_as_load_csv(self, tmp_path, monkeypatch):
@@ -323,11 +327,11 @@ class TestReadFlowCsv:
         read_rows = fs.ingest._read_rows
         calls = []
 
-        def rewriting(p):
+        def rewriting(p, *span):
             calls.append(p)
             if len(calls) == 2:  # the read of the text column's cells
                 _write(path, rewritten)
-            return read_rows(p)
+            return read_rows(p, *span)
 
         monkeypatch.setattr(fs.ingest, "_read_rows", rewriting)
         with pytest.raises(fs.ParseError, match="changed between its two reads"):
@@ -347,6 +351,86 @@ class TestReadFlowCsv:
             tracemalloc.stop()
         assert table.n_rows == 5000
         assert peak < 8 * table.features.nbytes
+
+
+def _lines(n, text_from=None, class_from=None):
+    """``n`` rows of p, q, Stage with a dirty row every 7th; p holds text from row
+    ``text_from`` on and class c appears from row ``class_from`` on."""
+    rows = ["p,q,Stage"]
+    for i in range(n):
+        p = "TCP" if text_from is not None and i >= text_from else f"{i % 5}.5"
+        stage = "c" if class_from is not None and i >= class_from else "ab"[i % 2]
+        q = ["NaN", "", "Infinity", " inf"][i // 7 % 4] if i % 7 == 3 else f"{i * 0.25}"
+        rows.append(f"{p},{q},{stage}")
+    return rows
+
+
+class TestRangedParse:
+    """A file parsed in ranges, forked children parsing all but the first, gives
+    the bits of the one-range parse."""
+
+    @staticmethod
+    def ranged(monkeypatch, path, cpus):
+        monkeypatch.setattr(fs.ingest, "MIN_RANGE_BYTES", 64)
+        monkeypatch.setattr(fs.ingest.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        return len(fs.ingest._byte_ranges(path)), fs.read_flow_csv(path, drop_columns=set())
+
+    @pytest.mark.parametrize("text, ranges", [
+        ("\n".join(_lines(90)) + "\n", [1, 2, 3]),
+        ("\n".join(_lines(90, text_from=86)) + "\n", [1, 2, 3]),
+        ("\n".join(_lines(90, class_from=87)) + "\n", [1, 2, 3]),
+        ("\r\n".join(_lines(90)) + "\r\n", [1, 2, 3]),
+        ("\n".join(_lines(90)), [1, 2, 3]),
+        ("\n".join(_lines(90)[:50] + ['"1.5",2,a'] + _lines(90)[50:]) + "\n", [1, 1, 1]),
+        ("\n".join(_lines(90)[:50]) + "\r" + "\n".join(_lines(90)[50:]) + "\n", [1, 1, 1]),
+    ], ids=["dirty-rows", "text-in-last-range", "class-in-last-range", "crlf", "no-final-newline",
+            "quote", "lone-cr"])
+    def test_same_table_and_row_count_as_one_range(self, tmp_path, monkeypatch, text, ranges):
+        path = tmp_path / "flows.csv"
+        path.write_bytes(text.encode("utf-8"))
+        results = []
+        for cpus, expected in zip([1, 2, 3], ranges):
+            count, result = self.ranged(monkeypatch, path, cpus)
+            assert count == expected
+            results.append(result)
+        serial, rows_in = results[0]
+        raw = fs.load_csv(path)
+        assert rows_in == raw.row_count
+        _same_table(serial, fs.preprocess(raw, drop_columns=set()))
+        for table, rows in results[1:]:
+            _same_table(table, serial)
+            assert rows == rows_in
+
+    def test_first_ragged_row_names_the_serial_line_and_no_child_is_left(self, tmp_path, monkeypatch):
+        lines = _lines(90)
+        lines[50] = "1,2"  # in the second of three ranges
+        lines[80] = "3"  # in the third
+        path = _write(tmp_path / "ragged.csv", "\n".join(lines) + "\n")
+        with pytest.raises(fs.ParseError, match="line 51:") as serial:
+            self.ranged(monkeypatch, path, 1)
+        with pytest.raises(fs.ParseError) as ranged:
+            self.ranged(monkeypatch, path, 3)
+        assert str(ranged.value) == str(serial.value)
+        starts = [start for start, _, _ in fs.ingest._byte_ranges(path)]
+        assert starts[1] < path.read_bytes().index(b"\n1,2\n") < starts[2]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_interrupt_in_the_first_range_leaves_no_child(self, tmp_path, monkeypatch):
+        path = _write(tmp_path / "flows.csv", "\n".join(_lines(90)) + "\n")
+        parent, parse_column = os.getpid(), fs.ingest._parse_column
+
+        def interrupted(rows, c):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return parse_column(rows, c)
+
+        monkeypatch.setattr(fs.ingest, "_parse_column", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            self.ranged(monkeypatch, path, 2)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
 
 class TestSaveLoadTable:
     def test_lossless_round_trip(self, tmp_path):
