@@ -5,6 +5,9 @@
 # once with test scope (the paper-faithful mode, whose forward pass's own fit
 # is the reduced model), and require the prepared tables and report and every
 # model, attribution, ranking and selection artifact to be byte-identical.
+# Then run `prepare`, `train` and `select` (no `explain`, validation scope) on
+# that input under both trees and require `selection_shap.json` and
+# `model_selected.json` to be byte-identical.
 # Then run `flowshap prepare` on a 30,000-row input (about 300 dirty rows over
 # 30 parse chunks), on a copy with CRLF line ends and on a copy with one quoted
 # cell, under both trees, and require each one's tables and report to be
@@ -40,6 +43,19 @@ for scope in validation test; do
     done
     echo "$scope scope: $(echo "$files" | wc -l) artifacts byte-identical"
 done
+for side in new old; do
+    tree=$root
+    [ "$side" = old ] && tree=$other
+    rm -rf "$work/direct-$side"
+    for stage in prepare train select; do
+        PYTHONPATH="$tree/src" python -m flowshap.cli "$stage" --config "$work/validation-$side.ini" \
+            --output-dir "$work/direct-$side"
+    done
+done
+for f in selection_shap.json model_selected.json; do
+    cmp "$work/direct-new/$f" "$work/direct-old/$f"
+done
+echo "prepare, train, select without explain: 2 artifacts byte-identical"
 
 csv=$(python perfbench/flowgen.py "$work/cache" 30000 1 0 \
       | python -c "import json, sys; print(json.load(sys.stdin)['path'])")

@@ -34,14 +34,14 @@ EFFECTIVE_CONFIG = "effective_config.ini"
 
 ADDITIVITY_TOLERANCE = 1e-6
 
-# Each stage's artifacts, its report last, and the config sections they are
-# made under. A stage deletes its report when it starts and writes it last and
-# whole, after effective_config.ini, so it is done exactly when its report exists.
+# Each stage's report and the config sections its artifacts are made under. A
+# stage deletes its report when it starts and writes it last and whole, after
+# effective_config.ini, so it is done exactly when its report exists.
 STAGES = {
-    "prepare": ((TRAIN_TABLE, TEST_TABLE, PREPARE_REPORT), ("run", "split")),
-    "train": ((MODEL_FILE, TRAIN_REPORT), ("run", "split", "hyperparams")),
-    "explain": ((SHAP_VALUES, GLOBAL_RANKING, SHAP_BASES), ("run", "split", "hyperparams", "explain")),
-    "select": ((SELECT_REPORT,), ("run", "split", "hyperparams", "explain", "selection")),
+    "prepare": (PREPARE_REPORT, ("run", "split")),
+    "train": (TRAIN_REPORT, ("run", "split", "hyperparams")),
+    "explain": (SHAP_BASES, ("run", "split", "hyperparams", "explain")),
+    "select": (SELECT_REPORT, ("run", "split", "hyperparams", "explain", "selection")),
 }
 
 
@@ -49,7 +49,7 @@ def _outdir(cfg: RunConfig, stage: str | None = None) -> tuple[RunConfig, Path]:
     """This run's config and output directory, refused when the recorded config
     differs in a key that an artifact this run keeps was made under: any key for
     the pipeline (no ``stage``); for a stage, the prepared tables' keys and those
-    of every other stage whose artifacts exist. A run without an input CSV takes
+    of every other stage that has completed. A run without an input CSV takes
     the recorded one: only prepare reads it, and only prepare makes the directory.
     A stage's report is deleted once the config is accepted."""
     out = Path(cfg.output_dir)
@@ -57,9 +57,8 @@ def _outdir(cfg: RunConfig, stage: str | None = None) -> tuple[RunConfig, Path]:
     if recorded.exists():
         before = load_config_file(recorded)
         cfg = replace(cfg, input_csv=cfg.input_csv or before.input_csv)
-        kept = {section for name, (files, sections) in STAGES.items()
-                if stage is None or name == "prepare"
-                or name != stage and any((out / f).exists() for f in files)
+        kept = {section for name, (report, sections) in STAGES.items()
+                if stage is None or name == "prepare" or name != stage and (out / report).exists()
                 for section in sections}
         changed = [field for section, _, field, _, _ in SCHEMA
                    if section in kept and field != FIELD.output_dir
@@ -68,7 +67,7 @@ def _outdir(cfg: RunConfig, stage: str | None = None) -> tuple[RunConfig, Path]:
             raise ValueError(f"{recorded} records a run with different {', '.join(changed)}; "
                              "use a fresh output directory")
     if stage:
-        (out / STAGES[stage][0][-1]).unlink(missing_ok=True)
+        (out / STAGES[stage][0]).unlink(missing_ok=True)
     return cfg, out
 
 
@@ -85,7 +84,7 @@ def _write_json(doc, path: Path) -> None:
 
 def _completed(out: Path, stage: str) -> Path:
     """``out``, once ``stage`` has completed there: its report, written last, exists."""
-    if not (out / STAGES[stage][0][-1]).exists():
+    if not (out / STAGES[stage][0]).exists():
         raise FileNotFoundError(f"{stage} has not completed under {out}; run {stage} first")
     return out
 
@@ -142,16 +141,13 @@ def cmd_train(cfg: RunConfig) -> metrics.EvalReport:
     return report
 
 
-def _explained_rows(cfg: RunConfig, train_t, test_t):
-    return test_t if cfg.explain_rows == "test" else train_t
-
-
 def cmd_explain(cfg: RunConfig) -> explain.ShapMatrix:
     """Attribute margins over the chosen rows, verify additivity, and export
     values and rankings."""
     cfg, out = _outdir(cfg, "explain")
     ens = gbt.load_model(_completed(out, "train") / MODEL_FILE)
-    table = _explained_rows(cfg, *_load_tables(out))
+    train_t, test_t = _load_tables(out)
+    table = test_t if cfg.explain_rows == "test" else train_t
     shap = explain.tree_shap(ens, table)
     reconstructed = shap.base_values + shap.values.sum(axis=2)
     error = np.abs(reconstructed - gbt.predict_margins(ens, table.features)).max(initial=0.0)
@@ -171,25 +167,20 @@ def cmd_explain(cfg: RunConfig) -> explain.ShapMatrix:
     return shap
 
 
-def _shap_ranking(cfg: RunConfig, out: Path, train_t, test_t) -> explain.ImportanceRanking:
-    if (out / SHAP_BASES).exists():  # explain completed
-        return explain.read_ranking_csv(out / GLOBAL_RANKING)
-    ens = gbt.load_model(_completed(out, "train") / MODEL_FILE)
-    return explain.global_importance(explain.tree_shap(ens, _explained_rows(cfg, train_t, test_t)))
-
-
 def _run_method(cfg: RunConfig, method: str, out: Path, train_t, test_t) -> selection.SelectionResult:
     """One method's selection; its ``fit`` is the reduced model trained on the
     train table and scored on the test table."""
     hp = cfg.hyperparams()
     if method == "shap":
+        if not (out / SHAP_BASES).exists():  # the ranking is explain's: explain runs first
+            cmd_explain(cfg)
         # Test scope scores candidate subsets on the final tables, validation
         # scope on a carve-out of the train table.
         test_scope = cfg.evaluation_scope == "test"
         sel_train, eval_t = ((train_t, test_t) if test_scope
                              else ingest.stratified_split(train_t, cfg.carve_spec()))
         result = selection.forward_select(
-            _shap_ranking(cfg, out, train_t, test_t), sel_train, eval_t, hp,
+            explain.read_ranking_csv(out / GLOBAL_RANKING), sel_train, eval_t, hp,
             max_candidates=cfg.max_candidates, patience=cfg.patience,
             evaluation_scope=cfg.evaluation_scope,
         )
@@ -209,6 +200,8 @@ def cmd_select(cfg: RunConfig, compare: bool = False) -> dict:
     for name in [SELECTED_MODEL, COMPARISON, *map(_selection_file, SELECTION_METHODS)]:
         (out / name).unlink(missing_ok=True)
     train_t, test_t = _load_tables(out)
+    if (compare or cfg.method != "shap") and cfg.k_for_filters > train_t.n_features:  # a filter method runs
+        raise ValueError(f"k_for_filters = {cfg.k_for_filters} exceeds the {train_t.n_features} features")
     rows = []
     for method in SELECTION_METHODS if compare else [cfg.method]:
         result = _run_method(cfg, method, out, train_t, test_t)
@@ -242,7 +235,7 @@ def cmd_pipeline(cfg: RunConfig, compare: bool = False) -> None:
     """
     cfg, out = _outdir(cfg)
     for stage, run in (("prepare", cmd_prepare), ("train", cmd_train), ("explain", cmd_explain)):
-        if not (out / STAGES[stage][0][-1]).exists():
+        if not (out / STAGES[stage][0]).exists():
             run(cfg)
     if not (out / SELECT_REPORT).exists() or compare and not (out / COMPARISON).exists():
         cmd_select(cfg, compare=compare)

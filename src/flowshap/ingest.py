@@ -233,8 +233,12 @@ def preprocess(raw: RawTable, drop_columns=None, label_column: str = DEFAULT_LAB
 
     Rows containing a null/empty/NaN/Infinity cell in any retained column are
     removed entirely; remaining categorical columns (and the label) are
-    integer-coded by lexicographic order of their distinct values.
+    integer-coded by lexicographic order of their distinct values. A row of
+    another width than the header raises ``ParseError``.
     """
+    for i, row in enumerate(raw.rows, 1):
+        if len(row) != len(raw.column_names):
+            raise ParseError(f"row {i}: expected {len(raw.column_names)} cells, got {len(row)}")
     return _parse_table(lambda n=None: chain([raw.column_names], raw.rows), drop_columns, label_column)[0]
 
 
@@ -254,6 +258,8 @@ def _parse_table(read, drop_columns, label_column: str, path=None, ranges=((0, N
 
     col_index = {name: i for i, name in enumerate(names)}
     kept = [c for c in names if c not in drops and c != label_column]
+    if not kept:
+        raise SchemaError(f"no feature column besides the label column {label_column!r}")
     kept_cols = [col_index[c] for c in kept]
     label_idx = col_index[label_column]
 

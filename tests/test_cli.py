@@ -94,6 +94,17 @@ class TestPrepare:
         with pytest.raises(OSError):
             cli.cmd_prepare(cfg)
 
+    def test_table_without_a_feature_column_is_refused(self, tmp_path, capsys):
+        (tmp_path / "flows.csv").write_text("Stage\na\nb\na\nb\n", encoding="utf-8")
+        config = tmp_path / "run.ini"
+        config.write_text(f"[run]\ninput_csv = {tmp_path / 'flows.csv'}\noutput_dir = {tmp_path / 'out'}\n"
+                          "drop_columns =\n", encoding="utf-8")
+        assert cli.main(["prepare", "--config", str(config)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "SchemaError"
+        assert not list((tmp_path / "out").glob("*_table.npz"))
+
 
 class TestTrain:
     def test_model_and_report_written(self, prepared):
@@ -240,16 +251,33 @@ class TestSelect:
         assert Path(f"{cfg.output_dir}/{cli.SELECTED_MODEL}").read_bytes() == expected
 
     def test_shap_ranking_without_explain_selects_as_after_explain(self, tmp_path):
-        # Without explain's ranking file, select recomputes TreeSHAP in memory.
+        # Without a completed explain, select runs explain first and reads its ranking.
         write_flow_csv(tmp_path / "flows.csv", {"Benign": 40, "Pivoting": 20, "Recon": 20}, seed=2)
         config = TestPipeline.write_config(tmp_path, "a.ini", TestPipeline.HYPER)
         runs = {"direct": ("prepare", "train", "select"), "explained": ("prepare", "train", "explain", "select")}
         for name, stages in runs.items():
             for stage in stages:
                 assert cli.main([stage, "--config", str(config), "--output-dir", str(tmp_path / name)]) == 0
-        assert not (tmp_path / "direct" / cli.GLOBAL_RANKING).exists()
-        for name in (cli._selection_file("shap"), cli.SELECTED_MODEL):
-            assert (tmp_path / "direct" / name).read_bytes() == (tmp_path / "explained" / name).read_bytes()
+        direct, explained = tmp_path / "direct", tmp_path / "explained"
+        class_rankings = sorted(path.name for path in explained.glob("importance_class_*.csv"))
+        assert len(class_rankings) == 3
+        for name in (cli.SHAP_VALUES, cli.GLOBAL_RANKING, *class_rankings, cli.SHAP_BASES,
+                     cli._selection_file("shap"), cli.SELECTED_MODEL):
+            assert (direct / name).read_bytes() == (explained / name).read_bytes(), name
+
+    def test_k_above_the_feature_count_fails_before_any_selection(self, tmp_path, capsys):
+        rng = np.random.default_rng(3)
+        rows = [f"{float(rng.normal() + 3 * (i % 2))!r},{float(rng.normal())!r},{'ab'[i % 2]}" for i in range(40)]
+        (tmp_path / "flows.csv").write_text("\n".join(["x,y,Stage", *rows, ""]), encoding="utf-8")
+        out = tmp_path / "out"
+        config = tmp_path / "a.ini"
+        config.write_text(f"[run]\ninput_csv = {tmp_path / 'flows.csv'}\noutput_dir = {out}\ndrop_columns =\n"
+                          f"{TestPipeline.HYPER}[selection]\nmax_candidates = 3\n", encoding="utf-8")
+        assert cli.main(["pipeline", "--config", str(config), "--compare"]) == 1
+        assert "k_for_filters = 12 exceeds the 2 features" in json.loads(capsys.readouterr().err)["message"]
+        assert not list(out.glob("selection_*.json"))
+        assert cli.main(["select", "--config", str(config), "--method", "shap"]) == 0
+        assert cli.main(["select", "--config", str(config), "--compare", "--k", "2"]) == 0
 
     def test_compare_writes_table(self, prepared):
         cfg, _, _ = prepared
@@ -519,6 +547,25 @@ class TestPipeline:
         assert cli.main(["train", "--config", str(four)]) == 1
         assert json.loads(capsys.readouterr().err)["message"].endswith("run prepare first")
 
+    def test_train_after_explain_stopped_before_its_report_takes_other_hyperparams(self, tmp_path, monkeypatch):
+        # No stage reads the files of an explain that did not complete, so they
+        # do not widen train's refusal scope; a resumed pipeline reruns explain.
+        write_flow_csv(tmp_path / "flows.csv", {"Benign": 40, "Pivoting": 20, "Recon": 20}, seed=2)
+        a = self.write_config(tmp_path, "a.ini", self.HYPER)
+        b = self.write_config(tmp_path, "b.ini", "[hyperparams]\nn_estimators = 3\nmax_depth = 2\n")
+        for stage in ("prepare", "train"):
+            assert cli.main([stage, "--config", str(a)]) == 0
+        with monkeypatch.context() as m:
+            m.setattr(cli.explain, "per_class_importance", stop)
+            with pytest.raises(KeyboardInterrupt):
+                cli.main(["explain", "--config", str(a)])
+        out = tmp_path / "out"
+        assert (out / cli.SHAP_VALUES).exists() and not (out / cli.SHAP_BASES).exists()
+        assert cli.main(["train", "--config", str(b)]) == 0
+        assert cli.main(["pipeline", "--config", str(b)]) == 0
+        assert cli.main(["pipeline", "--config", str(b), "--output-dir", str(tmp_path / "ref")]) == 0
+        assert_same_artifacts(out, tmp_path / "ref")
+
     def test_select_recomputes_a_ranking_that_explain_did_not_finish(self, tmp_path, monkeypatch):
         write_flow_csv(tmp_path / "flows.csv", {"Benign": 40, "Pivoting": 20, "Recon": 20}, seed=2)
         a = self.write_config(tmp_path, "a.ini", self.HYPER)
@@ -760,9 +807,9 @@ class TestConfigSchema:
 
 
 class TestExplainAdditivity:
-    def test_perturbed_attributions_are_rejected(self, prepared, monkeypatch):
-        cfg, _, _ = prepared
-        cli.cmd_train(cfg)
+    @staticmethod
+    def perturb(monkeypatch):
+        """Make ``explain.tree_shap`` miss the margins by 1e-3 in one cell."""
         exact = fs.explain.tree_shap
 
         def perturbed(ens, table):
@@ -771,6 +818,25 @@ class TestExplainAdditivity:
             return shap
 
         monkeypatch.setattr(fs.explain, "tree_shap", perturbed)
+
+    def test_perturbed_attributions_are_rejected(self, prepared, monkeypatch):
+        cfg, _, _ = prepared
+        cli.cmd_train(cfg)
+        self.perturb(monkeypatch)
         with pytest.raises(ValueError, match="attributions miss the margins"):
             cli.cmd_explain(cfg)
         assert not (Path(cfg.output_dir) / cli.SHAP_VALUES).exists()
+
+    def test_select_without_explain_rejects_perturbed_attributions(self, tmp_path, monkeypatch, capsys):
+        # select runs explain first, so its ranking passes the same additivity gate.
+        write_flow_csv(tmp_path / "flows.csv", {"Benign": 40, "Pivoting": 20, "Recon": 20}, seed=2)
+        config = TestPipeline.write_config(tmp_path, "a.ini", TestPipeline.HYPER)
+        for stage in ("prepare", "train"):
+            assert cli.main([stage, "--config", str(config)]) == 0
+        self.perturb(monkeypatch)
+        capsys.readouterr()
+        assert cli.main(["select", "--config", str(config)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["message"].startswith("attributions miss the margins")
+        assert not list((tmp_path / "out").glob("selection_*.json"))

@@ -109,6 +109,17 @@ class TestPreprocess:
         with pytest.raises(fs.SchemaError, match="not present"):
             fs.preprocess(raw, drop_columns={"nope"}, label_column="Stage")
 
+    def test_label_alone_is_refused(self):
+        raw = fs.RawTable(column_names=["Stage"], rows=[["a"], ["b"]])
+        with pytest.raises(fs.SchemaError, match="no feature column"):
+            fs.preprocess(raw, drop_columns=set(), label_column="Stage")
+
+    @pytest.mark.parametrize("row", [["2"], ["2", "b", "3"]])
+    def test_row_of_another_width_is_refused(self, row):
+        raw = fs.RawTable(column_names=["x", "Stage"], rows=[["1", "a"], row])
+        with pytest.raises(fs.ParseError, match=f"row 2: expected 2 cells, got {len(row)}"):
+            fs.preprocess(raw, drop_columns=set(), label_column="Stage")
+
     def test_all_rows_removed(self):
         raw = fs.RawTable(
             column_names=["x", "Stage"],
