@@ -4,7 +4,8 @@
 # another checkout, usually the parent commit, once with validation scope and
 # once with test scope (the paper-faithful mode, whose forward pass's own fit
 # is the reduced model), and require the prepared tables and report and every
-# model, attribution, ranking and selection artifact to be byte-identical.
+# model, attribution, ranking and selection artifact to be byte-identical, and
+# `effective_config.ini` too once its `output_dir` line is removed.
 # Then run `prepare`, `train` and `select` (no `explain`, validation scope) on
 # that input under both trees and require `selection_shap.json` and
 # `model_selected.json` to be byte-identical.
@@ -41,7 +42,12 @@ for scope in validation test; do
     for f in $files; do
         cmp "$work/$scope-new/$f" "$work/$scope-old/$f"
     done
-    echo "$scope scope: $(echo "$files" | wc -l) artifacts byte-identical"
+    # The config record names its own directory; every other line must match.
+    for side in new old; do
+        grep -v '^output_dir = ' "$work/$scope-$side/effective_config.ini" > "$work/$scope-$side.record"
+    done
+    cmp "$work/$scope-new.record" "$work/$scope-old.record"
+    echo "$scope scope: $(echo "$files" | wc -l) artifacts and the config record byte-identical"
 done
 for side in new old; do
     tree=$root

@@ -2,8 +2,8 @@
 
 Every stage reads and writes files under the configured output directory,
 echoes the effective configuration, and is deterministic for a fixed seed
-(wall-clock timing fields aside). It deletes its report when it starts and
-writes it last, whole, so ``pipeline`` resumes on the report alone.
+(wall-clock timing fields aside). It deletes its report when it starts and ends
+in ``_finish``: the config record, then the report, each written whole.
 """
 
 import argparse
@@ -35,14 +35,18 @@ EFFECTIVE_CONFIG = "effective_config.ini"
 ADDITIVITY_TOLERANCE = 1e-6
 
 # Each stage's report and the config sections its artifacts are made under. A
-# stage deletes its report when it starts and writes it last and whole, after
-# effective_config.ini, so it is done exactly when its report exists.
+# stage is done exactly when its report exists (``_done``); ``pipeline`` resumes on that.
 STAGES = {
     "prepare": (PREPARE_REPORT, ("run", "split")),
     "train": (TRAIN_REPORT, ("run", "split", "hyperparams")),
     "explain": (SHAP_BASES, ("run", "split", "hyperparams", "explain")),
     "select": (SELECT_REPORT, ("run", "split", "hyperparams", "explain", "selection")),
 }
+
+
+def _done(out: Path, stage: str) -> bool:
+    """Whether ``stage`` has completed under ``out``: its report exists."""
+    return (out / STAGES[stage][0]).exists()
 
 
 def _outdir(cfg: RunConfig, stage: str | None = None) -> tuple[RunConfig, Path]:
@@ -55,10 +59,10 @@ def _outdir(cfg: RunConfig, stage: str | None = None) -> tuple[RunConfig, Path]:
     out = Path(cfg.output_dir)
     recorded = out / EFFECTIVE_CONFIG
     if recorded.exists():
-        before = load_config_file(recorded)
+        before = load_config_file(recorded, whole=True)
         cfg = replace(cfg, input_csv=cfg.input_csv or before.input_csv)
-        kept = {section for name, (report, sections) in STAGES.items()
-                if stage is None or name == "prepare" or name != stage and (out / report).exists()
+        kept = {section for name, (_, sections) in STAGES.items()
+                if stage is None or name == "prepare" or name != stage and _done(out, name)
                 for section in sections}
         changed = [field for section, _, field, _, _ in SCHEMA
                    if section in kept and field != FIELD.output_dir
@@ -71,20 +75,33 @@ def _outdir(cfg: RunConfig, stage: str | None = None) -> tuple[RunConfig, Path]:
     return cfg, out
 
 
-def _write_json(doc, path: Path) -> None:
-    """Write ``doc`` whole or not at all: to ``<name>.partial``, then renamed."""
+def _write_whole(path: Path, write) -> None:
+    """Write ``path`` whole or not at all: ``write(<name>.partial)``, then renamed."""
+    partial = Path(f"{path}.partial")
     try:
-        with open(f"{path}.partial", "w", encoding="utf-8") as fh:
+        write(partial)
+        os.replace(partial, path)
+    finally:
+        partial.unlink(missing_ok=True)
+
+
+def _write_json(doc, path: Path) -> None:
+    def write(partial):
+        with open(partial, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=2)
             fh.write("\n")
-        os.replace(fh.name, path)
-    finally:
-        Path(f"{path}.partial").unlink(missing_ok=True)
+    _write_whole(path, write)
+
+
+def _finish(cfg: RunConfig, out: Path, stage: str, report) -> None:
+    """End ``stage``: record the config, then write its report; each whole."""
+    _write_whole(out / EFFECTIVE_CONFIG, lambda partial: write_config_file(cfg, partial))
+    _write_json(report, out / STAGES[stage][0])
 
 
 def _completed(out: Path, stage: str) -> Path:
-    """``out``, once ``stage`` has completed there: its report, written last, exists."""
-    if not (out / STAGES[stage][0]).exists():
+    """``out``, once ``stage`` has completed there."""
+    if not _done(out, stage):
         raise FileNotFoundError(f"{stage} has not completed under {out}; run {stage} first")
     return out
 
@@ -122,8 +139,7 @@ def cmd_prepare(cfg: RunConfig) -> dict:
             name: float(cw.weights[k]) for k, name in enumerate(table.class_names)
         },
     }
-    write_config_file(cfg, out / EFFECTIVE_CONFIG)
-    _write_json(report, out / PREPARE_REPORT)
+    _finish(cfg, out, "prepare", report)
     return report
 
 
@@ -136,8 +152,7 @@ def cmd_train(cfg: RunConfig) -> metrics.EvalReport:
     cfg, out = _outdir(cfg, "train")
     ens, report = metrics.fit_and_evaluate(*_load_tables(out), cfg.hyperparams())
     gbt.save_model(ens, out / MODEL_FILE)
-    write_config_file(cfg, out / EFFECTIVE_CONFIG)
-    _write_json(metrics.report_to_dict(report), out / TRAIN_REPORT)
+    _finish(cfg, out, "train", metrics.report_to_dict(report))
     return report
 
 
@@ -161,9 +176,7 @@ def cmd_explain(cfg: RunConfig) -> explain.ShapMatrix:
         explain.write_ranking_csv(
             explain.per_class_importance(shap, k), out / _class_ranking_file(k, name)
         )
-    write_config_file(cfg, out / EFFECTIVE_CONFIG)
-    bases = {name: float(shap.base_values[k]) for k, name in enumerate(ens.class_names)}
-    _write_json({"base_values": bases}, out / SHAP_BASES)
+    _finish(cfg, out, "explain", {"base_values": dict(zip(ens.class_names, shap.base_values.tolist()))})
     return shap
 
 
@@ -172,7 +185,7 @@ def _run_method(cfg: RunConfig, method: str, out: Path, train_t, test_t) -> sele
     train table and scored on the test table."""
     hp = cfg.hyperparams()
     if method == "shap":
-        if not (out / SHAP_BASES).exists():  # the ranking is explain's: explain runs first
+        if not _done(out, "explain"):  # the ranking is explain's: explain runs first
             cmd_explain(cfg)
         # Test scope scores candidate subsets on the final tables, validation
         # scope on a carve-out of the train table.
@@ -221,8 +234,7 @@ def cmd_select(cfg: RunConfig, compare: bool = False) -> dict:
             writer = csv.writer(fh)
             writer.writerow(["method", "features", "macro_precision", "macro_recall", "macro_f1"])
             writer.writerows(rows)
-    write_config_file(cfg, out / EFFECTIVE_CONFIG)
-    _write_json(primary_report, out / SELECT_REPORT)
+    _finish(cfg, out, "select", primary_report)
     return primary_report
 
 
@@ -235,9 +247,9 @@ def cmd_pipeline(cfg: RunConfig, compare: bool = False) -> None:
     """
     cfg, out = _outdir(cfg)
     for stage, run in (("prepare", cmd_prepare), ("train", cmd_train), ("explain", cmd_explain)):
-        if not (out / STAGES[stage][0]).exists():
+        if not _done(out, stage):
             run(cfg)
-    if not (out / SELECT_REPORT).exists() or compare and not (out / COMPARISON).exists():
+    if not _done(out, "select") or compare and not (out / COMPARISON).exists():
         cmd_select(cfg, compare=compare)
 
 

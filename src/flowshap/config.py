@@ -170,10 +170,11 @@ def _parsed(text_of, source) -> dict:
     return values
 
 
-def load_config_file(path, base: RunConfig | None = None) -> RunConfig:
+def load_config_file(path, base: RunConfig | None = None, whole: bool = False) -> RunConfig:
     """Layer an INI file over the given (or default) configuration.
 
-    Values are taken literally; an unknown section or key is an error.
+    Values are taken literally; an unknown section or key is an error, and so,
+    when ``whole`` (a record ``write_config_file`` made), is a missing key.
     """
     parser = _parser()
     with open(path, encoding="utf-8") as fh:
@@ -185,7 +186,10 @@ def load_config_file(path, base: RunConfig | None = None) -> RunConfig:
                 for k in parser[s] if (s, k) not in keys]
     if unknown:
         raise ValueError(f"{path}: unknown config entries: {', '.join(unknown)}")
-    return replace(base or RunConfig(), **_parsed(lambda s, k, _: parser.get(s, k, fallback=None), path))
+    values = _parsed(lambda s, k, _: parser.get(s, k, fallback=None), path)
+    if whole and (missing := [f"[{s}] {k}" for s, k, field, *_ in SCHEMA if field not in values]):
+        raise ValueError(f"{path} lacks {', '.join(missing)}; use a fresh output directory")
+    return replace(base or RunConfig(), **values)
 
 
 def build_config(args) -> RunConfig:

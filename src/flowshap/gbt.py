@@ -179,17 +179,19 @@ def _gain_terms(G, H, hp: Hyperparams):
     return np.divide(Gt * Gt, denom, out=np.zeros(np.shape(denom)), where=denom > 0)
 
 
+def _split_gains(GL, HL, GR, HR, parent, hp: Hyperparams):
+    """1/2 (L + R - P) - gamma in place: L, R the children's gain terms, P ``parent``'s."""
+    gains = _gain_terms(GL, HL, hp)
+    gains += _gain_terms(GR, HR, hp)
+    gains -= parent
+    gains *= 0.5
+    gains -= hp.gamma
+    return gains
+
+
 def split_gain(GL: float, HL: float, GR: float, HR: float, hp: Hyperparams) -> float:
     """Gain of a candidate split from aggregated child gradients/hessians."""
-    return float(
-        0.5
-        * (
-            _gain_terms(GL, HL, hp)
-            + _gain_terms(GR, HR, hp)
-            - _gain_terms(GL + GR, HL + HR, hp)
-        )
-        - hp.gamma
-    )
+    return float(_split_gains(GL, HL, GR, HR, _gain_terms(GL + GR, HL + HR, hp), hp))
 
 
 def _best_split(XT, idx, g, h, G, H, hp: Hyperparams):
@@ -214,11 +216,7 @@ def _best_split(XT, idx, g, h, G, H, hp: Hyperparams):
         GL = g[order].cumsum(axis=1)[:, :-1]
         HL = h[order].cumsum(axis=1)[:, :-1]
         HR = H - HL
-        gains = _gain_terms(GL, HL, hp)
-        gains += _gain_terms(G - GL, HR, hp)
-        gains -= parent
-        gains *= 0.5
-        gains -= hp.gamma
+        gains = _split_gains(GL, HL, G - GL, HR, parent, hp)
         ok = (sv[:, :-1] < sv[:, 1:]) & (HL >= mcw) & (HR >= mcw)
         gains[~ok] = -np.inf  # feature-major: the first maximum wins ties
         f, i = divmod(int(gains.argmax()), gains.shape[1])

@@ -56,24 +56,14 @@ def confusion(y_true, y_pred, n_classes: int) -> ConfusionMatrix:
     return ConfusionMatrix(counts=counts)
 
 
-def _ratio(num: float, den: float) -> float:
-    # 0/0 convention: degenerate classes score 0
-    return num / den if den > 0 else 0.0
-
-
 def per_class_metrics(cm: ConfusionMatrix) -> list[ClassMetrics]:
-    """One-vs-rest precision/recall/F1 per class."""
-    counts = cm.counts
-    out = []
-    for k in range(counts.shape[0]):
-        tp = int(counts[k, k])
-        fp = int(counts[:, k].sum()) - tp
-        fn = int(counts[k, :].sum()) - tp
-        precision = _ratio(tp, tp + fp)
-        recall = _ratio(tp, tp + fn)
-        f1 = _ratio(2.0 * precision * recall, precision + recall)
-        out.append(ClassMetrics(precision, recall, f1, tp + fn))
-    return out
+    """One-vs-rest precision/recall/F1 per class; a zero denominator scores 0."""
+    tp, predicted, support = np.diag(cm.counts), cm.counts.sum(axis=0), cm.counts.sum(axis=1)
+    precision = np.divide(tp, predicted, out=np.zeros(len(tp)), where=predicted > 0)
+    recall = np.divide(tp, support, out=np.zeros(len(tp)), where=support > 0)
+    both = precision + recall
+    f1 = np.divide(2.0 * precision * recall, both, out=np.zeros(len(tp)), where=both > 0)
+    return [ClassMetrics(*m) for m in zip(*(a.tolist() for a in (precision, recall, f1, support)))]
 
 
 def aggregate(per_class: list[ClassMetrics]):

@@ -1,6 +1,8 @@
 """End-to-end tests of the pipeline subcommands and their artifacts."""
 
+import configparser
 import csv
+import io
 import json
 import os
 import shutil
@@ -290,6 +292,8 @@ class TestSelect:
         for row in rows:
             assert 0.0 <= float(row["macro_f1"]) <= 1.0
             assert row["features"]
+        # The scores are repr'd Python floats; a numpy scalar's repr names its type.
+        assert "np.float64(" not in Path(cfg.output_dir, cli.COMPARISON).read_text(encoding="utf-8")
 
 
 class TestPipeline:
@@ -523,6 +527,52 @@ class TestPipeline:
         assert not list(out.glob("*.partial"))
         cli.cmd_pipeline(cfg)
         assert "accuracy" in read_json(out / cli.TRAIN_REPORT)
+
+    def test_record_write_that_fails_halfway_keeps_the_last_record(self, tmp_path, monkeypatch, capsys):
+        # A select whose config record write fails leaves the seed-7, 3-round
+        # record; a cut record would read as defaults and let explain run.
+        write_flow_csv(tmp_path / "flows.csv", {"Benign": 40, "Pivoting": 20, "Recon": 20}, seed=2)
+        a = self.write_config(tmp_path, "a.ini", "[hyperparams]\nn_estimators = 3\n")
+        out = tmp_path / "out"
+        assert cli.main(["pipeline", "--config", str(a), "--seed", "7"]) == 0
+        real_write = configparser.ConfigParser.write
+
+        def failing_write(parser, fh, *args, **kwargs):
+            whole = io.StringIO()
+            real_write(parser, whole, *args, **kwargs)
+            fh.write(whole.getvalue()[:40])
+            raise OSError("no space left on device")
+
+        with monkeypatch.context() as m:
+            m.setattr(configparser.ConfigParser, "write", failing_write)
+            assert cli.main(["select", "--config", str(a), "--seed", "7"]) == 1
+        capsys.readouterr()
+        assert cli.main(["explain", "--output-dir", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError" and "different seed, n_estimators;" in err["message"]
+        recorded = load_config_file(out / cli.EFFECTIVE_CONFIG)
+        assert (recorded.seed, recorded.n_estimators) == (7, 3)
+        assert not list(out.glob("*.partial"))
+
+    def test_cut_record_is_refused(self, tmp_path, capsys):
+        # A record cut short (by an older version's in-place write, or a full
+        # disk) lacks keys that would otherwise read as their defaults.
+        write_flow_csv(tmp_path / "flows.csv", {"Benign": 40, "Pivoting": 20, "Recon": 20}, seed=2)
+        a = self.write_config(tmp_path, "a.ini", "[hyperparams]\nn_estimators = 3\n")
+        out = tmp_path / "out"
+        assert cli.main(["pipeline", "--config", str(a), "--seed", "7"]) == 0
+        recorded = out / cli.EFFECTIVE_CONFIG
+        cut = recorded.read_bytes()[:40]
+        recorded.write_bytes(cut)
+        capsys.readouterr()
+        for command in (["explain", "--output-dir", str(out)], ["pipeline", "--config", str(a), "--seed", "7"]):
+            assert cli.main(command) == 1
+            lines = capsys.readouterr().err.splitlines()
+            assert len(lines) == 1
+            message = json.loads(lines[0])["message"]
+            assert "[run] seed" in message and "[hyperparams] n_estimators" in message
+            assert message.endswith("use a fresh output directory")
+        assert recorded.read_bytes() == cut
 
     def test_stage_after_an_interrupted_producer_is_refused(self, tmp_path, monkeypatch, capsys):
         # A train stopped before its report leaves a 2-round model.json beside

@@ -121,7 +121,30 @@ class TestSoftmaxGradHess:
             fs.softmax_grad_hess([0.0, 0.0], 5, 1.0)
 
 
+def expression_split_gain(GL, HL, GR, HR, hp):
+    """The gain as one expression over the three gain terms: the reference the
+    in-place sequence must equal bitwise."""
+    return float(
+        0.5 * (gbt._gain_terms(GL, HL, hp) + gbt._gain_terms(GR, HR, hp)
+               - gbt._gain_terms(GL + GR, HL + HR, hp))
+        - hp.gamma
+    )
+
+
 class TestSplitGain:
+    @pytest.mark.parametrize("reg_alpha", [0.0, 1.0])
+    @pytest.mark.parametrize("gamma", [0.0, 2.0])
+    @pytest.mark.parametrize("reg_lambda", [0.0, 1.0])
+    def test_equals_the_expression_bitwise(self, reg_alpha, gamma, reg_lambda):
+        hp = fs.Hyperparams(reg_lambda=reg_lambda, reg_alpha=reg_alpha, gamma=gamma)
+        rng = np.random.default_rng(5)
+        sums = rng.normal(scale=3.0, size=(400, 4))
+        sums[:, 1::2] = np.abs(sums[:, 1::2])
+        sums[::7, 1] = 0.0  # zero hessian sums: a zero denominator under reg_lambda = 0
+        sums[::11, 3] = 0.0
+        for GL, HL, GR, HR in sums.tolist():
+            assert fs.split_gain(GL, HL, GR, HR, hp) == expression_split_gain(GL, HL, GR, HR, hp)
+
     def test_symmetric_split_zero_gain_unregularized(self):
         hp = fs.Hyperparams(reg_lambda=0.0)
         assert fs.split_gain(1.5, 2.0, 1.5, 2.0, hp) == pytest.approx(0.0, abs=1e-12)

@@ -1,5 +1,7 @@
 """Tests for confusion matrices, the metric suite, and timed evaluation."""
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -37,7 +39,38 @@ class TestConfusion:
         assert cm.counts.sum() == 50
 
 
+def scalar_per_class_metrics(counts):
+    """One class at a time with a scalar zero-denominator rule: the reference
+    the masked divisions must equal bitwise."""
+    def ratio(num, den):
+        return num / den if den > 0 else 0.0
+
+    out = []
+    for k in range(counts.shape[0]):
+        tp = int(counts[k, k])
+        fp = int(counts[:, k].sum()) - tp
+        fn = int(counts[k, :].sum()) - tp
+        precision = ratio(tp, tp + fp)
+        recall = ratio(tp, tp + fn)
+        f1 = ratio(2.0 * precision * recall, precision + recall)
+        out.append((precision, recall, f1, tp + fn))
+    return out
+
+
 class TestPerClassMetrics:
+    def test_equals_the_scalar_loop_bitwise(self):
+        rng = np.random.default_rng(11)
+        for trial in range(200):
+            k = int(rng.integers(1, 9))
+            counts = rng.integers(0, [4, 60, 10**9][trial % 3], size=(k, k))
+            counts[rng.random(k) < 0.25] = 0  # classes that never occur
+            counts[:, rng.random(k) < 0.25] = 0  # classes never predicted
+            per_class = fs.per_class_metrics(fs.ConfusionMatrix(counts))
+            assert [astuple(m) for m in per_class] == scalar_per_class_metrics(counts)
+            for m in per_class:
+                assert all(type(v) is float for v in (m.precision, m.recall, m.f1))
+                assert type(m.support) is int
+
     def test_perfect_diagonal(self):
         cm = fs.confusion([0, 1, 2], [0, 1, 2], 3)
         for m in fs.per_class_metrics(cm):
