@@ -13,6 +13,8 @@
 # 30 parse chunks), on a copy with CRLF line ends and on a copy with one quoted
 # cell, under both trees, and require each one's tables and report to be
 # byte-identical too.
+# Every pair is compared even after one differs: each file that differs is
+# named on stderr, and the script exits nonzero at the end if any did.
 #
 # Usage, from the repository root: sh .github/byte-identity.sh OTHER_TREE WORKDIR
 set -eu
@@ -20,6 +22,10 @@ root=$PWD
 other=$(cd "$1" && pwd)
 mkdir -p "$2"
 work=$(cd "$2" && pwd)
+differ=0
+same() {
+    cmp "$1" "$2" || { echo "differs: $1" >&2; differ=1; }
+}
 csv=$(python perfbench/flowgen.py "$work/cache" 1200 1 0 \
       | python -c "import json, sys; print(json.load(sys.stdin)['path'])")
 artifacts() {
@@ -38,16 +44,16 @@ for scope in validation test; do
         PYTHONPATH="$tree/src" python -m flowshap.cli pipeline --compare --config "$dir.ini"
     done
     files=$(artifacts "$work/$scope-new")
-    [ "$files" = "$(artifacts "$work/$scope-old")" ]
+    [ "$files" = "$(artifacts "$work/$scope-old")" ] || { echo "differs: $scope artifact list" >&2; differ=1; }
     for f in $files; do
-        cmp "$work/$scope-new/$f" "$work/$scope-old/$f"
+        same "$work/$scope-new/$f" "$work/$scope-old/$f"
     done
     # The config record names its own directory; every other line must match.
     for side in new old; do
         grep -v '^output_dir = ' "$work/$scope-$side/effective_config.ini" > "$work/$scope-$side.record"
     done
-    cmp "$work/$scope-new.record" "$work/$scope-old.record"
-    echo "$scope scope: $(echo "$files" | wc -l) artifacts and the config record byte-identical"
+    same "$work/$scope-new.record" "$work/$scope-old.record"
+    echo "$scope scope: $(echo "$files" | wc -l) artifacts and the config record compared"
 done
 for side in new old; do
     tree=$root
@@ -59,9 +65,9 @@ for side in new old; do
     done
 done
 for f in selection_shap.json model_selected.json; do
-    cmp "$work/direct-new/$f" "$work/direct-old/$f"
+    same "$work/direct-new/$f" "$work/direct-old/$f"
 done
-echo "prepare, train, select without explain: 2 artifacts byte-identical"
+echo "prepare, train, select without explain: 2 artifacts compared"
 
 csv=$(python perfbench/flowgen.py "$work/cache" 30000 1 0 \
       | python -c "import json, sys; print(json.load(sys.stdin)['path'])")
@@ -88,7 +94,12 @@ for input in "$csv" "$work/crlf.csv" "$work/quoted.csv"; do
             --output-dir "$work/prepare-$side"
     done
     for f in train_table.npz test_table.npz prepare_report.json; do
-        cmp "$work/prepare-new/$f" "$work/prepare-old/$f"
+        same "$work/prepare-new/$f" "$work/prepare-old/$f"
     done
-    echo "30,000-row prepare of $(basename "$input"): 3 artifacts byte-identical"
+    echo "30,000-row prepare of $(basename "$input"): 3 artifacts compared"
 done
+if [ "$differ" != 0 ]; then
+    echo "the files named above differ" >&2
+    exit 1
+fi
+echo "every compared file is byte-identical"

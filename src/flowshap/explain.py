@@ -7,7 +7,9 @@ branch at its splits) and a one fraction o_i (1 iff the sample meets all of
 its conditions); a subset S then gets value * prod_{i in S} o_i * prod_{i not
 in S} z_i, a product game with closed-form Shapley values. Paths are padded to
 one length with null players, so all leaves of a tree and a block of rows are
-computed in one set of array operations.
+computed in one set of array operations. Sums run in an order fixed by the tree
+(over k, then over a feature's (leaf, path slot) positions in turn) with no BLAS
+call, so a row's attributions depend on that row and the model alone.
 ``brute_force_shapley`` enumerates all feature subsets of the classic
 attribution formula; it exists purely as an oracle for the fast path and
 refuses more than 20 features.
@@ -46,7 +48,7 @@ class ImportanceRanking:
     """Features ordered by non-increasing score; ties break lexicographically."""
 
     entries: list[tuple[str, float]]
-    scope: str  # "global" or "class:<name>"
+    scope: str  # "global" or "class:<index>"
 
 
 def _cond_exp(tree: Tree, x: np.ndarray, in_subset, node: int) -> float:
@@ -186,19 +188,19 @@ def _path_phi(X, feat, lo, hi, z) -> np.ndarray:
     D = feat.shape[1]
     weights = np.array([math.factorial(k) * math.factorial(D - k - 1) / math.factorial(D)
                         for k in range(D)])
-    poly = np.zeros(one.shape[:2] + (D + 1,))
-    poly[..., 0] = 1.0
+    poly = np.zeros((D + 1,) + one.shape[:2])  # c_k first: each is one contiguous array
+    poly[0] = 1.0
     for j in range(D):
-        poly[..., 1:] = poly[..., 1:] * z[:, j, None] + poly[..., :-1] * one[..., j, None]
-        poly[..., 0] *= z[:, j]
+        poly[1:] = poly[1:] * z[:, j] + poly[:-1] * one[..., j]
+        poly[0] *= z[:, j]
     # o_i = 0: the product carries the factor z_i, which (o_i - z_i) = -z_i
     # multiplies back, so no division is needed.
-    absent = -(poly[..., :D] @ weights)
+    absent = -sum(weights[k] * poly[k] for k in range(D))
     # o_i = 1: divide the product by (t + z_i), top coefficient first.
-    q = np.broadcast_to(poly[..., D:], one.shape)
+    q = np.broadcast_to(poly[D, ..., None], one.shape)
     total = weights[D - 1] * q
     for k in range(D - 1, 0, -1):
-        q = poly[..., k, None] - z * q
+        q = poly[k, ..., None] - z * q
         total += weights[k - 1] * q
     return np.where(one, (1.0 - z) * total, absent[..., None])
 
@@ -207,23 +209,23 @@ def tree_shap(ens: TreeEnsemble, table: FlowTable) -> ShapMatrix:
     """Exact attributions of every per-class margin over all table rows."""
     if list(table.feature_names) != list(ens.feature_names):
         raise ValueError("table features do not match the model")
-    n = table.n_rows
-    K = ens.n_classes
-    M = len(ens.feature_names)
-    values = np.zeros((n, K, M), dtype=np.float64)
+    n, K = table.n_rows, ens.n_classes
+    values = np.zeros((n, K, len(ens.feature_names)), dtype=np.float64)
     base = np.full(K, ens.base_score, dtype=np.float64)
     X = table.features
     for t_idx, tree in enumerate(ens.trees):
         leaf_value, feat, lo, hi, z = _leaf_paths(tree)
-        base[t_idx % K] += leaf_value @ z.prod(axis=1)
-        L, D = feat.shape
-        # Scales each (leaf, path slot) attribution and sums it into its feature.
-        scatter = np.zeros((L * D, M))
-        scatter[np.arange(L * D), feat.ravel()] = np.repeat(leaf_value, D)
-        step = max(1, BLOCK_ELEMENTS // (L * D))
+        base[t_idx % K] += np.sum(leaf_value * z.prod(axis=1))
+        used, slot_feature = np.unique(feat.ravel(), return_inverse=True)
+        scale = np.repeat(leaf_value, feat.shape[1])
+        step = max(1, BLOCK_ELEMENTS // feat.size)
+        # One bin per (row, used feature); bincount adds each bin's terms in (leaf, slot) order.
+        bins = np.arange(min(n, step))[:, None] * len(used) + slot_feature
         for start in range(0, n, step):
-            phi = _path_phi(X[start:start + step], feat, lo, hi, z)
-            values[start:start + step, t_idx % K] += phi.reshape(phi.shape[0], -1) @ scatter
+            phi = _path_phi(X[start:start + step], feat, lo, hi, z).reshape(-1, feat.size)
+            phi *= scale
+            sums = np.bincount(bins[:len(phi)].ravel(), weights=phi.ravel())
+            values[start:start + step, t_idx % K, used] += sums.reshape(len(phi), -1)
     return ShapMatrix(values=values, base_values=base, feature_names=list(ens.feature_names))
 
 

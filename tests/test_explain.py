@@ -1,11 +1,13 @@
 """Tests for conditional expectations, Shapley attributions, rankings and exports."""
 
 import csv
+import math
 
 import numpy as np
 import pytest
 
 import flowshap as fs
+from flowshap import explain
 from flowshap.explain import write_shap_csv
 from flowshap.gbt import Tree, TreeEnsemble
 
@@ -276,6 +278,68 @@ class TestTreeShap:
             )
         shap = fs.tree_shap(ens, table)
         assert np.abs(shap.base_values - expected).max() <= 1e-12
+
+    def test_each_row_is_attributed_alone(self, monkeypatch):
+        # a row's attributions are the same bits whether it is explained alone,
+        # in a slice, in the full call, or in row blocks of one row each
+        ens, table = depth_six_ensemble()
+        full = fs.tree_shap(ens, table)
+        for block_elements in [explain.BLOCK_ELEMENTS, 1]:
+            monkeypatch.setattr(explain, "BLOCK_ELEMENTS", block_elements)
+            assert np.array_equal(fs.tree_shap(ens, table).values, full.values)
+            for rows in [[0], [7], [150], [299], slice(0, 2), slice(40, 173), slice(101, 300)]:
+                part = fs.tree_shap(ens, make_table(table.features[rows], table.labels[rows], 4))
+                assert np.array_equal(part.values, full.values[rows])
+                assert np.array_equal(part.base_values, full.base_values)
+
+    def test_equals_the_matrix_product_formulation(self):
+        # summing in a fixed order only reorders the float additions of the
+        # scatter-matrix products it replaced
+        ens, table = depth_six_ensemble()
+        shap = fs.tree_shap(ens, table)
+        values, base = matrix_product_tree_shap(ens, table)
+        assert np.abs(shap.values - values).max() <= 1e-12
+        assert np.abs(shap.base_values - base).max() <= 1e-12
+
+
+def depth_six_ensemble():
+    """A 4-class, 4-round model on 300 rows whose paths reach 6 unique features."""
+    table = random_multiclass_table(n=300, m=8, K=4, seed=3)
+    hp = fs.Hyperparams(n_estimators=4, max_depth=6, min_child_weight=0.0)
+    return fs.train(table, hp), table
+
+
+def matrix_product_tree_shap(ens, table):
+    """``tree_shap`` with its sums as matrix products: each leaf's path game
+    weighted by ``@``, and every tree's attributions scaled and summed into
+    features by one dense (leaves * path length, features) scatter matrix."""
+    K, M = ens.n_classes, len(ens.feature_names)
+    values = np.zeros((table.n_rows, K, M))
+    base = np.full(K, ens.base_score)
+    for t_idx, tree in enumerate(ens.trees):
+        leaf_value, feat, lo, hi, z = explain._leaf_paths(tree)
+        base[t_idx % K] += leaf_value @ z.prod(axis=1)
+        L, D = feat.shape
+        x = table.features[:, feat]
+        one = (lo <= x) & (x < hi)
+        weights = np.array([math.factorial(k) * math.factorial(D - k - 1) / math.factorial(D)
+                            for k in range(D)])
+        poly = np.zeros(one.shape[:2] + (D + 1,))
+        poly[..., 0] = 1.0
+        for j in range(D):
+            poly[..., 1:] = poly[..., 1:] * z[:, j, None] + poly[..., :-1] * one[..., j, None]
+            poly[..., 0] *= z[:, j]
+        absent = -(poly[..., :D] @ weights)
+        q = np.broadcast_to(poly[..., D:], one.shape)
+        total = weights[D - 1] * q
+        for k in range(D - 1, 0, -1):
+            q = poly[..., k, None] - z * q
+            total += weights[k - 1] * q
+        phi = np.where(one, (1.0 - z) * total, absent[..., None])
+        scatter = np.zeros((L * D, M))
+        scatter[np.arange(L * D), feat.ravel()] = np.repeat(leaf_value, D)
+        values[:, t_idx % K] += phi.reshape(phi.shape[0], -1) @ scatter
+    return values, base
 
 
 def matrix(values, names):
