@@ -9,6 +9,9 @@
 # Then run `prepare`, `train` and `select` (no `explain`, validation scope) on
 # that input under both trees and require `selection_shap.json` and
 # `model_selected.json` to be byte-identical.
+# Then run `prepare`, `train` and `explain` with `[explain] rows = train` on that
+# input under both trees and require the attributions and every ranking to be
+# byte-identical.
 # Then run `flowshap prepare` on a 30,000-row input (about 300 dirty rows over
 # 30 parse chunks), on a copy with CRLF line ends and on a copy with one quoted
 # cell, under both trees, and require each one's tables and report to be
@@ -68,6 +71,26 @@ for f in selection_shap.json model_selected.json; do
     same "$work/direct-new/$f" "$work/direct-old/$f"
 done
 echo "prepare, train, select without explain: 2 artifacts compared"
+for side in new old; do
+    tree=$root
+    [ "$side" = old ] && tree=$other
+    dir=$work/train-rows-$side
+    rm -rf "$dir"
+    printf '[run]\ninput_csv = %s\nseed = 42\noutput_dir = %s\n[hyperparams]\nn_estimators = 4\n[explain]\nrows = train\n' \
+        "$csv" "$dir" > "$dir.ini"
+    for stage in prepare train explain; do
+        PYTHONPATH="$tree/src" python -m flowshap.cli "$stage" --config "$dir.ini"
+    done
+done
+explained() {
+    (cd "$1" && ls shap_values.csv shap_base_values.json importance_*.csv)
+}
+files=$(explained "$work/train-rows-new")
+[ "$files" = "$(explained "$work/train-rows-old")" ] || { echo "differs: train-rows artifact list" >&2; differ=1; }
+for f in $files; do
+    same "$work/train-rows-new/$f" "$work/train-rows-old/$f"
+done
+echo "prepare, train, explain of the train rows: $(echo "$files" | wc -l) artifacts compared"
 
 csv=$(python perfbench/flowgen.py "$work/cache" 30000 1 0 \
       | python -c "import json, sys; print(json.load(sys.stdin)['path'])")

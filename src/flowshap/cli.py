@@ -161,8 +161,7 @@ def cmd_explain(cfg: RunConfig) -> explain.ShapMatrix:
     values and rankings."""
     cfg, out = _outdir(cfg, "explain")
     ens = gbt.load_model(_completed(out, "train") / MODEL_FILE)
-    train_t, test_t = _load_tables(out)
-    table = test_t if cfg.explain_rows == "test" else train_t
+    table = ingest.load_table(_completed(out, "prepare") / (TEST_TABLE if cfg.explain_rows == "test" else TRAIN_TABLE))
     shap = explain.tree_shap(ens, table)
     reconstructed = shap.base_values + shap.values.sum(axis=2)
     error = np.abs(reconstructed - gbt.predict_margins(ens, table.features)).max(initial=0.0)

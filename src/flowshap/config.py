@@ -170,8 +170,8 @@ def _parsed(text_of, source) -> dict:
     return values
 
 
-def load_config_file(path, base: RunConfig | None = None, whole: bool = False) -> RunConfig:
-    """Layer an INI file over the given (or default) configuration.
+def load_config_file(path, whole: bool = False) -> RunConfig:
+    """The configuration an INI file gives, over the defaults.
 
     Values are taken literally; an unknown section or key is an error, and so,
     when ``whole`` (a record ``write_config_file`` made), is a missing key.
@@ -189,7 +189,7 @@ def load_config_file(path, base: RunConfig | None = None, whole: bool = False) -
     values = _parsed(lambda s, k, _: parser.get(s, k, fallback=None), path)
     if whole and (missing := [f"[{s}] {k}" for s, k, field, *_ in SCHEMA if field not in values]):
         raise ValueError(f"{path} lacks {', '.join(missing)}; use a fresh output directory")
-    return replace(base or RunConfig(), **values)
+    return RunConfig(**values)
 
 
 def build_config(args) -> RunConfig:

@@ -235,10 +235,10 @@ def _ranked(names, scores, scope) -> ImportanceRanking:
 
 
 def global_importance(shap: ShapMatrix) -> ImportanceRanking:
-    """Mean absolute attribution per class, summed across classes."""
+    """The sum, in class order, of each class's ``per_class_importance`` score."""
     if shap.values.shape[0] == 0:
         raise ValueError("empty attribution matrix")
-    scores = np.abs(shap.values).mean(axis=0).sum(axis=0)
+    scores = sum(np.abs(shap.values[:, k, :]).mean(axis=0) for k in range(shap.values.shape[1]))
     return _ranked(shap.feature_names, scores, "global")
 
 

@@ -445,7 +445,7 @@ def _tree_from_nodes(nodes: list, n_features: int) -> Tree:
 
 
 def serialize(ens: TreeEnsemble) -> bytes:
-    """Versioned UTF-8 JSON document with exact float round-trip."""
+    """Versioned UTF-8 JSON document with exact float round-trip; a non-finite value raises ValueError."""
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
         "hyperparams": _hyperparams_to_json(ens.hyperparams),
@@ -454,7 +454,7 @@ def serialize(ens: TreeEnsemble) -> bytes:
         "base_score": ens.base_score,
         "trees": [{"nodes": _tree_to_nodes(t)} for t in ens.trees],
     }
-    return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+    return (json.dumps(doc, indent=2, allow_nan=False) + "\n").encode("utf-8")
 
 
 def _reject_constant(token: str):
@@ -506,8 +506,9 @@ def deserialize(data: bytes) -> TreeEnsemble:
 
 
 def save_model(ens: TreeEnsemble, path) -> None:
+    data = serialize(ens)  # before the file is opened: a refused model leaves none
     with open(path, "wb") as fh:
-        fh.write(serialize(ens))
+        fh.write(data)
 
 
 def load_model(path) -> TreeEnsemble:

@@ -125,6 +125,22 @@ class TestTrain:
         second = Path(f"{cfg.output_dir}/{cli.MODEL_FILE}").read_bytes()
         assert first == second
 
+    def test_model_with_a_non_finite_leaf_is_refused_before_any_file(self, prepared, monkeypatch, capsys):
+        cfg, _, _ = prepared
+        train = gbt.train
+
+        def train_an_infinite_leaf(table, hp):
+            ens = train(table, hp)
+            ens.trees[0].value[np.flatnonzero(ens.trees[0].feature < 0)[0]] = np.inf
+            return ens
+
+        monkeypatch.setattr(gbt, "train", train_an_infinite_leaf)
+        out = Path(cfg.output_dir)
+        assert cli.main(["train", "--config", str(out / cli.EFFECTIVE_CONFIG)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and json.loads(err)["error"] == "ValueError"
+        assert not (out / cli.MODEL_FILE).exists() and not (out / cli.TRAIN_REPORT).exists()
+
     def test_zero_rounds_report_well_formed(self, prepared):
         cfg, _, _ = prepared
         report = cli.cmd_train(replace(cfg, n_estimators=0))
@@ -165,6 +181,17 @@ class TestExplain:
             with open(path, newline="") as fh:
                 rows = list(csv.DictReader(fh))
             assert len(rows) == 77
+
+    @pytest.mark.parametrize("rows", ["test", "train"])
+    def test_loads_only_the_table_it_attributes(self, prepared, monkeypatch, rows):
+        cfg = replace(prepared[0], explain_rows=rows)
+        cli.cmd_train(cfg)
+        loaded, load_table = [], cli.ingest.load_table
+        monkeypatch.setattr(cli.ingest, "load_table", lambda path: loaded.append(Path(path).name) or load_table(path))
+        shap = cli.cmd_explain(cfg)
+        table = cli.TEST_TABLE if rows == "test" else cli.TRAIN_TABLE
+        assert loaded == [table]
+        assert len(shap.values) == len(load_table(Path(cfg.output_dir) / table).labels)
 
     def test_global_ranking_matches_export_recomputation(self, prepared):
         cfg, _, _ = prepared

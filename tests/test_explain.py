@@ -377,6 +377,24 @@ class TestRankings:
         ordered = sorted(expected.items(), key=lambda kv: (-kv[1], kv[0]))
         assert [e[0] for e in ranking.entries] == [name for name, _ in ordered]
 
+    @pytest.mark.parametrize("m", [1, 2, 5])
+    def test_global_score_is_the_sum_of_the_class_scores(self, m):
+        table = random_multiclass_table(m=m)
+        shap = fs.tree_shap(fs.train(table, fs.Hyperparams(n_estimators=3, max_depth=3)), table)
+        class_scores = [dict(fs.per_class_importance(shap, k).entries) for k in range(shap.values.shape[1])]
+        for name, score in fs.global_importance(shap).entries:
+            total = 0.0
+            for scores in class_scores:
+                total += scores[name]
+            assert score == total, name
+
+    @pytest.mark.parametrize("shape", [(1, 2, 2), (9, 3, 2), (17, 6, 8), (100, 3, 3), (1000, 6, 77)])
+    def test_global_scores_equal_the_whole_array_mean(self, shape):
+        values = np.random.default_rng(sum(shape)).normal(size=shape)
+        names = [f"f{i}" for i in range(shape[2])]
+        scores = dict(fs.global_importance(matrix(values, names)).entries)
+        assert [scores[name] for name in names] == np.abs(values).mean(axis=0).sum(axis=0).tolist()
+
     def test_per_class_zero_attribution(self):
         values = np.zeros((4, 2, 3))
         values[:, 0, :] = 1.0

@@ -1,10 +1,13 @@
 """Tests for gradients, split search, training, prediction, and the model format."""
 
+import functools
 import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import flowshap as fs
 from flowshap import gbt
@@ -632,7 +635,60 @@ MALFORMED = {
 }
 
 
+# Any JSON value, to put in place of one of a model document's values.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=4,
+)
+
+
+@functools.cache
+def model_document() -> bytes:
+    """A 2-round, 3-class model's document."""
+    return fs.serialize(fs.train(random_multiclass_table(n=40, m=3), fs.Hyperparams(n_estimators=2, max_depth=2)))
+
+
+def draw_path(data, node) -> list:
+    """A key path to a value inside ``node``: one key per level, stopping at a
+    level at random, so the top-level fields are drawn as often as the nodes."""
+    path = []
+    while isinstance(node, (dict, list)) and node and (not path or data.draw(st.booleans())):
+        key = data.draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+        path.append(key)
+        node = node[key]
+    return path
+
+
 class TestSerialization:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_mutated_document_is_a_model_or_a_format_error(self, data):
+        doc = json.loads(model_document())
+        *head, key = draw_path(data, doc)
+        parent = functools.reduce(lambda node, k: node[k], head, doc)
+        mutation = data.draw(st.sampled_from(["replace", "drop", "cut"]))
+        if mutation == "drop":
+            del parent[key]
+        elif mutation == "cut" and isinstance(parent[key], list):  # every list in the document has an entry
+            parent[key] = parent[key][:data.draw(st.integers(0, len(parent[key]) - 1))]
+        else:
+            parent[key] = data.draw(JSON_VALUES)
+        try:
+            ens = fs.deserialize(json.dumps(doc).encode())
+        except fs.ModelFormatError:
+            return
+        assert isinstance(ens, TreeEnsemble)
+
+    @pytest.mark.parametrize("change", [{"right": np.inf}, {"left": -np.inf}, {"threshold": np.nan}])
+    def test_non_finite_value_is_refused_when_written(self, tmp_path, change):
+        ens = stump_ensemble(**change)
+        with pytest.raises(ValueError):
+            fs.serialize(ens)
+        with pytest.raises(ValueError):
+            fs.save_model(ens, tmp_path / "model.json")
+        assert not (tmp_path / "model.json").exists()
+
     def test_round_trip_identical_margins(self):
         table = separable_table(n=80, seed=21)
         ens = fs.train(table, fs.Hyperparams(n_estimators=5, max_depth=4))

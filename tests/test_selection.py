@@ -1,6 +1,10 @@
 """Tests for forward selection and the filter-method baselines."""
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -181,6 +185,27 @@ class TestCorrelationScores:
             cov = ((x - mx) * (yv - my)).sum()
             ref = abs(cov) / np.sqrt(((x - mx) ** 2).sum() * ((yv - my) ** 2).sum())
             assert got[j] == pytest.approx(ref, abs=1e-12)
+
+    def test_scores_do_not_depend_on_the_blas_thread_count(self):
+        # A BLAS product splits its sums by thread; on a 20,000 x 77 table that
+        # moved a few scores in their last bits between 1 and 2 threads.
+        script = (
+            "import sys, numpy as np, flowshap as fs\n"
+            "rng = np.random.default_rng(20)\n"
+            "X, y = rng.normal(size=(20000, 77)), rng.integers(0, 6, 20000)\n"
+            "table = fs.FlowTable([f'f{i}' for i in range(77)], X, y, [str(k) for k in range(6)], np.ones(20000))\n"
+            "sys.stdout.buffer.write(fs.correlation_scores(table).scores.tobytes())\n"
+        )
+        src = str(Path(fs.__file__).parents[1])
+        runs = [
+            subprocess.run(
+                [sys.executable, "-c", script], capture_output=True, check=True,
+                env={**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                     "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))},
+            ).stdout
+            for threads in ("1", "2")
+        ]
+        assert len(runs[0]) == 77 * 8 and runs[0] == runs[1]
 
 
 class TestChiSquareScores:
