@@ -15,7 +15,8 @@
 # Then run `flowshap prepare` on a 30,000-row input (about 300 dirty rows over
 # 30 parse chunks), on a copy with CRLF line ends and on a copy with one quoted
 # cell, under both trees, and require each one's tables and report to be
-# byte-identical too.
+# byte-identical too; and once more on the 30,000-row input with
+# `[split] stratified = false`.
 # Every pair is compared even after one differs: each file that differs is
 # named on stderr, and the script exits nonzero at the end if any did.
 #
@@ -108,18 +109,22 @@ cells, label = first.rsplit(b",", 1)
 with open(quoted, "wb") as fh:
     fh.write(b"\n".join([header, cells + b',"' + label + b'"', rest]))
 EOF_PY
-for input in "$csv" "$work/crlf.csv" "$work/quoted.csv"; do
+# A config that only sets the split, stratified (the default) or not.
+printf '[split]\nstratified = true\n' > "$work/stratified.ini"
+printf '[split]\nstratified = false\n' > "$work/unstratified.ini"
+for run in "$csv stratified" "$work/crlf.csv stratified" "$work/quoted.csv stratified" "$csv unstratified"; do
+    input=${run% *} split=${run##* }
     for side in new old; do
         tree=$root
         [ "$side" = old ] && tree=$other
         rm -rf "$work/prepare-$side"
-        PYTHONPATH="$tree/src" python -m flowshap.cli prepare --input "$input" --seed 42 \
-            --output-dir "$work/prepare-$side"
+        PYTHONPATH="$tree/src" python -m flowshap.cli prepare --config "$work/$split.ini" --input "$input" \
+            --seed 42 --output-dir "$work/prepare-$side"
     done
     for f in train_table.npz test_table.npz prepare_report.json; do
         same "$work/prepare-new/$f" "$work/prepare-old/$f"
     done
-    echo "30,000-row prepare of $(basename "$input"): 3 artifacts compared"
+    echo "30,000-row $split prepare of $(basename "$input"): 3 artifacts compared"
 done
 if [ "$differ" != 0 ]; then
     echo "the files named above differ" >&2

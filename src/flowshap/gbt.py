@@ -454,7 +454,13 @@ def serialize(ens: TreeEnsemble) -> bytes:
         "base_score": ens.base_score,
         "trees": [{"nodes": _tree_to_nodes(t)} for t in ens.trees],
     }
-    return (json.dumps(doc, indent=2, allow_nan=False) + "\n").encode("utf-8")
+    try:
+        return (json.dumps(doc, indent=2, allow_nan=False) + "\n").encode("utf-8")
+    except ValueError as exc:  # name the first non-finite value of a tree
+        where = next((f"tree {t} node {i}: {field} is {value!r}" for t, tree in enumerate(doc["trees"])
+                      for i, node in enumerate(tree["nodes"]) for field, value in node.items()
+                      if isinstance(value, float) and not math.isfinite(value)), "a value outside the trees")
+        raise ValueError(f"{where}; a model holds finite numbers only") from exc
 
 
 def _reject_constant(token: str):

@@ -13,9 +13,11 @@ exact: ``float`` strips a subset of the whitespace ``str.strip`` removes, so if
 import csv
 import io
 import math
+import mmap
 import os
 import pickle
 import signal
+import zipfile
 from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from itertools import chain, compress, islice, zip_longest
@@ -115,10 +117,19 @@ class FlowTable:
         cols = [index[f] for f in feature_subset]  # fancy indexing copies
         return replace(self, feature_names=list(feature_subset), features=self.features[:, cols])
 
-    def take(self, row_indices) -> "FlowTable":
+    def take(self, row_indices, in_place: bool = False) -> "FlowTable":
+        """The given rows, copied; ``in_place`` (ascending rows) moves their features up over this table's."""
         rows = np.asarray(row_indices, dtype=np.int64)
-        return replace(self, features=self.features[rows], labels=self.labels[rows],
-                       sample_weights=self.sample_weights[rows])
+        if in_place:
+            _move_rows_down(self.features, rows)
+        return replace(self, features=self.features[:len(rows)] if in_place else self.features[rows],
+                       labels=self.labels[rows], sample_weights=self.sample_weights[rows])
+
+
+def _move_rows_down(array, rows) -> None:
+    """``array[:len(rows)] = array[rows]`` in chunks: ``rows`` ascend, so no row is overwritten unread."""
+    for at in range(np.count_nonzero(rows == np.arange(len(rows))), len(rows), PARSE_CHUNK_ROWS):
+        array[at:min(at + PARSE_CHUNK_ROWS, len(rows))] = array[rows[at:at + PARSE_CHUNK_ROWS]]
 
 
 @dataclass(frozen=True)
@@ -163,22 +174,24 @@ def _read_rows(path, start=0, lines=None, width=None, line0=0):
             yield row
 
 
-def _byte_ranges(path) -> list:
-    """[start byte, line count (None: to EOF), lines before] of each range to parse, cut after
-    newlines, at most one per CPU and ``MIN_RANGE_BYTES``; one if the CPU count is unknown, a
-    field may span lines (a quote) or lines would count differently (a lone carriage return)."""
+def _byte_ranges(path) -> tuple[int, list]:
+    """A bound on the rows (the lines, a carriage return counted as a line end too), and [start byte,
+    line count (None: to EOF), lines before] of each range to parse, cut after newlines, at most one
+    per CPU and ``MIN_RANGE_BYTES``; one if the CPU count is unknown, a field may span lines (a
+    quote) or lines would count differently (a lone carriage return)."""
     size = os.path.getsize(path)
     parts = min(len(os.sched_getaffinity(0)), size // MIN_RANGE_BYTES) if hasattr(os, "sched_getaffinity") else 1
-    ranges, lines = [[0, None, 0]], 0
+    ranges, lines, returns = [[0, None, 0]], 0, 0
     with open(path, "rb") as fh:
-        while parts > 1 and (block := fh.read(MIN_RANGE_BYTES >> 4) + fh.readline()):
-            if b'"' in block or b"\r" in block and block.count(b"\r") != block.count(b"\r\n"):
-                return [[0, None, 0]]
-            if fh.tell() - len(block) >= size * len(ranges) // parts:  # the block starts a range
+        while block := fh.read(min(MIN_RANGE_BYTES >> 4, size)) + fh.readline():
+            returns += (r := block.count(b"\r"))
+            if b'"' in block or r and r != block.count(b"\r\n"):
+                parts = 1
+            if parts > 1 and fh.tell() - len(block) >= size * len(ranges) // parts:  # the block starts a range
                 ranges[-1][1] = lines - ranges[-1][2]
                 ranges.append([fh.tell() - len(block), None, lines])
             lines += block.count(b"\n")
-    return ranges
+    return lines + returns + 1, ranges if parts > 1 else [[0, None, 0]]
 
 
 def load_csv(path) -> RawTable:
@@ -225,7 +238,7 @@ def _parse_column(rows, c: int):
 def read_flow_csv(path, drop_columns=None, label_column=DEFAULT_LABEL_COLUMN) -> tuple[FlowTable, int]:
     """``preprocess(load_csv(path))`` and the number of data rows read, holding
     the cell text of at most ``PARSE_CHUNK_ROWS`` rows per range at a time."""
-    return _parse_table(lambda n=None: _read_rows(path, 0, n), drop_columns, label_column, path, _byte_ranges(path))
+    return _parse_table(lambda n=None: _read_rows(path, 0, n), drop_columns, label_column, *_byte_ranges(path), path)
 
 
 def preprocess(raw: RawTable, drop_columns=None, label_column: str = DEFAULT_LABEL_COLUMN) -> FlowTable:
@@ -239,12 +252,13 @@ def preprocess(raw: RawTable, drop_columns=None, label_column: str = DEFAULT_LAB
     for i, row in enumerate(raw.rows, 1):
         if len(row) != len(raw.column_names):
             raise ParseError(f"row {i}: expected {len(raw.column_names)} cells, got {len(row)}")
-    return _parse_table(lambda n=None: chain([raw.column_names], raw.rows), drop_columns, label_column)[0]
+    return _parse_table(lambda *_: chain([raw.column_names], raw.rows), drop_columns, label_column, raw.row_count)[0]
 
 
-def _parse_table(read, drop_columns, label_column: str, path=None, ranges=((0, None, 0),)) -> tuple[FlowTable, int]:
+def _parse_table(read, drop_columns, label_column: str, bound: int, ranges=((0, None, 0),), path=None):
     """``preprocess`` of ``read(line count)``, the header names and the first range's rows, joined in file
-    order with the other ``ranges`` of ``path``, each parsed by a forked child; and the row count."""
+    order with the other ``ranges`` of ``path``, each parsed by a forked child; and the row count. Each
+    range's rows go to one shared buffer of ``bound`` rows from its first line's index on, then move down."""
     rows = read(ranges[0][1])
     names = next(rows)
     drops = set(DEFAULT_DROP_COLUMNS if drop_columns is None else drop_columns)
@@ -263,9 +277,10 @@ def _parse_table(read, drop_columns, label_column: str, path=None, ranges=((0, N
     kept_cols = [col_index[c] for c in kept]
     label_idx = col_index[label_column]
 
-    def parse(rows):  # a range's float blocks, keep masks, has-text mask and surviving label texts
+    buffer = np.frombuffer(mmap.mmap(-1, 8 * len(kept) * max(bound, 1)), dtype=np.float64).reshape(-1, len(kept))
+    def parse(rows, at):  # a range's keep masks, has-text mask and surviving label texts; its rows go to buffer[at:]
         # A row survives if no retained cell is null; of a chunk's text, only surviving labels outlive it.
-        blocks, keeps, label_values = [], [], []
+        keeps, label_values = [], []
         has_text = np.zeros(len(kept), dtype=bool)
         while chunk := list(islice(rows, PARSE_CHUNK_ROWS)):
             values = np.empty((len(chunk), len(kept)), dtype=np.float64)
@@ -274,11 +289,11 @@ def _parse_table(read, drop_columns, label_column: str, path=None, ranges=((0, N
             for j, c in enumerate(kept_cols):
                 values[:, j], null, is_text[:, j] = _parse_column(chunk, c)
                 keep &= ~null
-            blocks.append(values[keep])
+            buffer[at + len(label_values):at + len(label_values) + np.count_nonzero(keep)] = values[keep]
             keeps.append(keep)
             has_text |= is_text[keep].any(axis=0)
             label_values += [row[label_idx].strip() for row in compress(chunk, keep)]
-        return blocks, keeps, has_text, label_values
+        return keeps, has_text, label_values
     with ExitStack() as children:  # reaps every child on exit: closes its pipe, kills it, waits
         pipes = []
         for start, lines, line0 in ranges[1:]:
@@ -287,7 +302,7 @@ def _parse_table(read, drop_columns, label_column: str, path=None, ranges=((0, N
                 try:  # a child never returns into the caller, nor flushes its buffers
                     with open(w, "wb") as pipe:
                         try:
-                            part = parse(_read_rows(path, start, lines, len(names), line0))
+                            part = parse(_read_rows(path, start, lines, len(names), line0), line0)
                         except BaseException as exc:
                             part = exc
                         pickle.dump(part, pipe, pickle.HIGHEST_PROTOCOL)
@@ -297,15 +312,16 @@ def _parse_table(read, drop_columns, label_column: str, path=None, ranges=((0, N
             children.callback(os.kill, pid, signal.SIGKILL)
             pipes.append(children.enter_context(open(r, "rb")))
             os.close(w)
-        parts = [parse(rows), *map(pickle.load, pipes)]
+        parts = [parse(rows, 0), *map(pickle.load, pipes)]
     for error in (part for part in parts if isinstance(part, BaseException)):
         raise error
-    blocks, keeps, has_text, label_values = zip(*parts)
+    keeps, has_text, label_values = zip(*parts)
+    kept_rows = np.concatenate([line0 + np.arange(len(part)) for (_, _, line0), part in zip(ranges, label_values)])
     label_values = [*chain(*label_values)]
     if not label_values:
         raise ValueError("empty table after preprocessing")
-    features = np.concatenate([*chain(*blocks)])
-    del parts, blocks
+    _move_rows_down(buffer, kept_rows)
+    features = buffer[:len(kept_rows)]
 
     # A column is numeric iff no surviving cell is categorical text; text
     # columns are coded from the original stripped cell text, read again.
@@ -330,8 +346,8 @@ def _parse_table(read, drop_columns, label_column: str, path=None, ranges=((0, N
                      sample_weights=np.ones(len(labels))), sum(map(len, chain(*keeps)))
 
 
-def stratified_split(table: FlowTable, spec: SplitSpec) -> tuple[FlowTable, FlowTable]:
-    """Seed-deterministic train/test partition; per-class when stratified."""
+def stratified_split(table: FlowTable, spec: SplitSpec, in_place: bool = False) -> tuple[FlowTable, FlowTable]:
+    """Seed-deterministic train/test partition; per-class when stratified. ``in_place``: see ``FlowTable.take``."""
     rng = SplitMix64(spec.seed)
     groups = ([np.flatnonzero(table.labels == k) for k in range(len(table.class_names))]
               if spec.stratified else [np.arange(table.n_rows)])
@@ -342,7 +358,8 @@ def stratified_split(table: FlowTable, spec: SplitSpec) -> tuple[FlowTable, Flow
         rows = rows.tolist()
         rng.shuffle(rows)
         train[rows[:math.ceil(spec.train_fraction * len(rows) - 0.5)]] = True  # rounded, exact halves down
-    return table.take(np.flatnonzero(train)), table.take(np.flatnonzero(~train))
+    test = table.take(np.flatnonzero(~train))
+    return table.take(np.flatnonzero(train), in_place), test
 
 
 def class_weights(labels, n_classes: int) -> ClassWeights:
@@ -367,15 +384,16 @@ def apply_sample_weights(table: FlowTable, cw: ClassWeights) -> FlowTable:
 
 
 def save_table(table: FlowTable, path) -> None:
-    """Lossless binary round-trip of a FlowTable (.npz)."""
-    np.savez(
-        path,
-        features=table.features,
-        labels=table.labels,
-        sample_weights=table.sample_weights,
-        feature_names=np.array(table.feature_names, dtype=np.str_),
-        class_names=np.array(table.class_names, dtype=np.str_),
-    )
+    """Lossless binary round-trip of a FlowTable: the bytes ``np.savez`` writes to ``path``, each
+    array's data written from the array itself rather than from copies of up to 16 MiB of it."""
+    arrays = {"features": table.features, "labels": table.labels, "sample_weights": table.sample_weights,
+              "feature_names": np.array(table.feature_names, dtype=np.str_),
+              "class_names": np.array(table.class_names, dtype=np.str_)}
+    with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED, allowZip64=True) as archive:
+        for name, array in arrays.items():
+            with archive.open(f"{name}.npy", "w", force_zip64=True) as fh:
+                np.lib.format.write_array_header_1_0(fh, np.lib.format.header_data_from_array_1_0(array))
+                fh.write(np.ravel(array, order="A").view(np.uint8).data)  # F order iff the header says so
 
 
 def load_table(path) -> FlowTable:

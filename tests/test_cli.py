@@ -127,11 +127,12 @@ class TestTrain:
 
     def test_model_with_a_non_finite_leaf_is_refused_before_any_file(self, prepared, monkeypatch, capsys):
         cfg, _, _ = prepared
-        train = gbt.train
+        train, leaves = gbt.train, []
 
         def train_an_infinite_leaf(table, hp):
             ens = train(table, hp)
-            ens.trees[0].value[np.flatnonzero(ens.trees[0].feature < 0)[0]] = np.inf
+            leaves.append(int(np.flatnonzero(ens.trees[0].feature < 0)[0]))
+            ens.trees[0].value[leaves[0]] = np.inf
             return ens
 
         monkeypatch.setattr(gbt, "train", train_an_infinite_leaf)
@@ -139,6 +140,7 @@ class TestTrain:
         assert cli.main(["train", "--config", str(out / cli.EFFECTIVE_CONFIG)]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and json.loads(err)["error"] == "ValueError"
+        assert json.loads(err)["message"].startswith(f"tree 0 node {leaves[0]}: value is inf;")
         assert not (out / cli.MODEL_FILE).exists() and not (out / cli.TRAIN_REPORT).exists()
 
     def test_zero_rounds_report_well_formed(self, prepared):

@@ -680,12 +680,17 @@ class TestSerialization:
             return
         assert isinstance(ens, TreeEnsemble)
 
-    @pytest.mark.parametrize("change", [{"right": np.inf}, {"left": -np.inf}, {"threshold": np.nan}])
+    @pytest.mark.parametrize("change", [
+        ({"right": np.inf}, "tree 0 node 2: value is inf"),
+        ({"left": -np.inf}, "tree 0 node 1: value is -inf"),
+        ({"threshold": np.nan}, "tree 0 node 0: threshold is nan"),
+    ])
     def test_non_finite_value_is_refused_when_written(self, tmp_path, change):
-        ens = stump_ensemble(**change)
-        with pytest.raises(ValueError):
+        stump, where = change  # the stump's non-finite value, and where the error names it
+        ens = stump_ensemble(**stump)
+        with pytest.raises(ValueError, match=f"^{where};"):
             fs.serialize(ens)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^{where};"):
             fs.save_model(ens, tmp_path / "model.json")
         assert not (tmp_path / "model.json").exists()
 

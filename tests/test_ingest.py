@@ -384,7 +384,7 @@ class TestRangedParse:
     def ranged(monkeypatch, path, cpus):
         monkeypatch.setattr(fs.ingest, "MIN_RANGE_BYTES", 64)
         monkeypatch.setattr(fs.ingest.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-        return len(fs.ingest._byte_ranges(path)), fs.read_flow_csv(path, drop_columns=set())
+        return len(fs.ingest._byte_ranges(path)[1]), fs.read_flow_csv(path, drop_columns=set())
 
     @pytest.mark.parametrize("text, ranges", [
         ("\n".join(_lines(90)) + "\n", [1, 2, 3]),
@@ -394,8 +394,10 @@ class TestRangedParse:
         ("\n".join(_lines(90)), [1, 2, 3]),
         ("\n".join(_lines(90)[:50] + ['"1.5",2,a'] + _lines(90)[50:]) + "\n", [1, 1, 1]),
         ("\n".join(_lines(90)[:50]) + "\r" + "\n".join(_lines(90)[50:]) + "\n", [1, 1, 1]),
+        # Every range after the first holds only rows with an empty cell, so keeps none.
+        ("\n".join(_lines(20) + ["1.5,,a"] * 70) + "\n", [1, 2, 3]),
     ], ids=["dirty-rows", "text-in-last-range", "class-in-last-range", "crlf", "no-final-newline",
-            "quote", "lone-cr"])
+            "quote", "lone-cr", "dropped-range"])
     def test_same_table_and_row_count_as_one_range(self, tmp_path, monkeypatch, text, ranges):
         path = tmp_path / "flows.csv"
         path.write_bytes(text.encode("utf-8"))
@@ -422,7 +424,7 @@ class TestRangedParse:
         with pytest.raises(fs.ParseError) as ranged:
             self.ranged(monkeypatch, path, 3)
         assert str(ranged.value) == str(serial.value)
-        starts = [start for start, _, _ in fs.ingest._byte_ranges(path)]
+        starts = [start for start, _, _ in fs.ingest._byte_ranges(path)[1]]
         assert starts[1] < path.read_bytes().index(b"\n1,2\n") < starts[2]
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
@@ -455,6 +457,26 @@ class TestSaveLoadTable:
         assert np.array_equal(back.features, table.features)
         assert np.array_equal(back.labels, table.labels)
         assert np.array_equal(back.sample_weights, table.sample_weights)
+
+    @staticmethod
+    def assert_savez_bytes(table, tmp_path):
+        fs.save_table(table, tmp_path / "saved.npz")
+        np.savez(tmp_path / "savez.npz", features=table.features, labels=table.labels,
+                 sample_weights=table.sample_weights, feature_names=np.array(table.feature_names, dtype=np.str_),
+                 class_names=np.array(table.class_names, dtype=np.str_))
+        assert (tmp_path / "saved.npz").read_bytes() == (tmp_path / "savez.npz").read_bytes()
+
+    def test_bytes_of_a_row_slice_of_a_larger_buffer_are_savez_bytes(self, tmp_path):
+        buffer = np.random.default_rng(6).normal(size=(50, 3))
+        table = make_table(buffer[:30], np.arange(30) % 3)
+        assert table.features.base is buffer
+        self.assert_savez_bytes(table, tmp_path)
+
+    def test_bytes_with_non_ascii_names_are_savez_bytes(self, tmp_path):
+        table = fs.FlowTable(feature_names=["débit", "Größe", "流量"], features=np.eye(3),
+                             labels=[0, 1, 1], class_names=["ürsprung", "Ωmega"], sample_weights=[1.0, 2.0, 0.5])
+        self.assert_savez_bytes(table, tmp_path)
+        assert fs.load_table(tmp_path / "saved.npz").feature_names == table.feature_names
 
 
 class TestStratifiedSplit:
@@ -519,6 +541,21 @@ class TestStratifiedSplit:
     def test_bad_fraction(self):
         with pytest.raises(ValueError):
             fs.SplitSpec(train_fraction=1.0)
+
+    @pytest.mark.parametrize("stratified", [True, False])
+    def test_in_place_halves_equal_the_copied_halves(self, stratified):
+        # Class 2 has 2 rows; the input is left as it was by the copying split only.
+        rng = np.random.default_rng(8)
+        features, labels = rng.normal(size=(41, 3)), np.array([0] * 25 + [1] * 14 + [2] * 2)
+        table = make_table(features.copy(), labels)
+        spec = fs.SplitSpec(train_fraction=0.7, seed=3, stratified=stratified)
+        copied = fs.stratified_split(table, spec)
+        assert np.array_equal(table.features, features) and np.array_equal(table.labels, labels)
+        in_place = fs.stratified_split(table, spec, in_place=True)
+        assert np.shares_memory(in_place[0].features, table.features)
+        for a, b in zip(copied, in_place):
+            for name in ("features", "labels", "sample_weights"):
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
 
 
 class TestClassWeights:
