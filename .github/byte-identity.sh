@@ -13,10 +13,11 @@
 # input under both trees and require the attributions and every ranking to be
 # byte-identical.
 # Then run `flowshap prepare` on a 30,000-row input (about 300 dirty rows over
-# 30 parse chunks), on a copy with CRLF line ends and on a copy with one quoted
-# cell, under both trees, and require each one's tables and report to be
-# byte-identical too; and once more on the 30,000-row input with
-# `[split] stratified = false`.
+# about 118 parse chunks), on a copy with CRLF line ends and on a copy with one
+# quoted cell, under both trees, and require each one's tables and report to be
+# byte-identical too; and twice more on the 30,000-row input, with
+# `[split] stratified = false` and with `[split] train_fraction = 0.5` (another
+# cycle structure for the in-place train/test partition).
 # Every pair is compared even after one differs: each file that differs is
 # named on stderr, and the script exits nonzero at the end if any did.
 #
@@ -109,10 +110,12 @@ cells, label = first.rsplit(b",", 1)
 with open(quoted, "wb") as fh:
     fh.write(b"\n".join([header, cells + b',"' + label + b'"', rest]))
 EOF_PY
-# A config that only sets the split, stratified (the default) or not.
+# A config that only sets the split: stratified (the default) or not, or half the rows to train.
 printf '[split]\nstratified = true\n' > "$work/stratified.ini"
 printf '[split]\nstratified = false\n' > "$work/unstratified.ini"
-for run in "$csv stratified" "$work/crlf.csv stratified" "$work/quoted.csv stratified" "$csv unstratified"; do
+printf '[split]\ntrain_fraction = 0.5\n' > "$work/half.ini"
+for run in "$csv stratified" "$work/crlf.csv stratified" "$work/quoted.csv stratified" "$csv unstratified" \
+           "$csv half"; do
     input=${run% *} split=${run##* }
     for side in new old; do
         tree=$root

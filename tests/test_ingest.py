@@ -301,6 +301,7 @@ class TestReadFlowCsv:
         # rows make a chunk of both and a chunk of Benign alone. One range, so
         # that every cell is parsed in this process.
         monkeypatch.setattr(fs.ingest, "MIN_RANGE_BYTES", 1 << 40)
+        monkeypatch.setattr(fs.ingest, "PARSE_CHUNK_ROWS", 1024)
         path = tmp_path / "flows.csv"
         write_flow_csv(path, {"Benign": 1200, "Attack": 800}, seed=6)
         parse_cell = fs.ingest._parse_cell
@@ -445,6 +446,27 @@ class TestRangedParse:
             os.waitpid(-1, os.WNOHANG)
 
 
+class TestFiniteFeatures:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("cell", [(0, 0), (-1, 1), (1, -1)], ids=["first-row", "last-row", "last-column"])
+    def test_a_non_finite_cell_is_refused_by_every_constructor(self, cell, value):
+        features = np.arange(12, dtype=float).reshape(4, 3)
+        bad = features.copy()
+        bad[cell] = value
+        with pytest.raises(fs.SchemaError, match="non-finite"):
+            make_table(bad, [0, 1, 0, 1])
+        table = make_table(features, [0, 1, 0, 1])
+        table.features[cell] = value  # written after the table was checked
+        for derive in (lambda t: t.take([3, 2, 1, 0]), lambda t: t.restrict(["f2", "f1", "f0"]),
+                       lambda t: fs.apply_sample_weights(t, fs.class_weights(t.labels, 2))):
+            with pytest.raises(fs.SchemaError, match="non-finite"):
+                derive(table)
+
+    def test_tables_without_cells_construct(self):
+        assert make_table(np.empty((0, 3)), np.empty(0, dtype=np.int64), n_classes=2).n_rows == 0
+        assert make_table(np.empty((4, 0)), [0, 1, 0, 1]).n_features == 0
+
+
 class TestSaveLoadTable:
     def test_lossless_round_trip(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -553,6 +575,7 @@ class TestStratifiedSplit:
         assert np.array_equal(table.features, features) and np.array_equal(table.labels, labels)
         in_place = fs.stratified_split(table, spec, in_place=True)
         assert np.shares_memory(in_place[0].features, table.features)
+        assert np.shares_memory(in_place[1].features, table.features)
         for a, b in zip(copied, in_place):
             for name in ("features", "labels", "sample_weights"):
                 assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
