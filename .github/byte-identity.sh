@@ -4,8 +4,10 @@
 # another checkout, usually the parent commit, once with validation scope and
 # once with test scope (the paper-faithful mode, whose forward pass's own fit
 # is the reduced model), and require the prepared tables and report and every
-# model, attribution, ranking and selection artifact to be byte-identical, and
-# `effective_config.ini` too once its `output_dir` line is removed.
+# model, attribution, ranking and selection artifact to be byte-identical,
+# `effective_config.ini` too once its `output_dir` line is removed, and
+# `train_report.json` and `select_report.json` (the macro F1 of the full and
+# the reduced model) once their `timing` blocks of wall-clock seconds are removed.
 # Then run `prepare`, `train` and `select` (no `explain`, validation scope) on
 # that input under both trees and require `selection_shap.json` and
 # `model_selected.json` to be byte-identical.
@@ -33,6 +35,10 @@ same() {
 }
 csv=$(python perfbench/flowgen.py "$work/cache" 1200 1 0 \
       | python -c "import json, sys; print(json.load(sys.stdin)['path'])")
+untimed() {
+    python -c "import json, sys; doc = json.load(open(sys.argv[1])); doc.pop('timing', None); print(json.dumps(doc, indent=2))" \
+        "$1" > "$2"
+}
 artifacts() {
     (cd "$1" && ls train_table.npz test_table.npz prepare_report.json model.json \
                    shap_values.csv shap_base_values.json importance_*.csv selection_*.json \
@@ -58,7 +64,13 @@ for scope in validation test; do
         grep -v '^output_dir = ' "$work/$scope-$side/effective_config.ini" > "$work/$scope-$side.record"
     done
     same "$work/$scope-new.record" "$work/$scope-old.record"
-    echo "$scope scope: $(echo "$files" | wc -l) artifacts and the config record compared"
+    for report in train_report select_report; do
+        for side in new old; do
+            untimed "$work/$scope-$side/$report.json" "$work/$scope-$side.$report"
+        done
+        same "$work/$scope-new.$report" "$work/$scope-old.$report"
+    done
+    echo "$scope scope: $(echo "$files" | wc -l) artifacts, the config record and 2 reports without timing compared"
 done
 for side in new old; do
     tree=$root

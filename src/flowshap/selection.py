@@ -130,7 +130,8 @@ def chi_square_scores(table: FlowTable) -> FilterScores:
     X = table.features
     lo = X.min(axis=0)
     span = X.max(axis=0) - lo
-    scaled = np.divide(X - lo, span, out=np.zeros_like(X), where=span > 0)
+    scaled = X - lo  # a constant column's cells are exactly 0 here
+    np.divide(scaled, span, out=scaled, where=span > 0)
     K = len(table.class_names)
     n = table.n_rows
     scores = np.zeros(table.n_features)
@@ -164,7 +165,9 @@ def anova_scores(table: FlowTable) -> FilterScores:
         block = X[labels == k]
         mean_k = block.mean(axis=0)
         ssb += block.shape[0] * (mean_k - grand) ** 2
-        ssw += ((block - mean_k) ** 2).sum(axis=0)
+        block -= mean_k  # block is a copy: centre and square it in place
+        block *= block
+        ssw += block.sum(axis=0)
     msb = ssb / (k_groups - 1)
     msw = ssw / (n - k_groups)
     scores = np.divide(msb, msw, out=np.where(msb > 0, ANOVA_SENTINEL, 0.0), where=msw > 0)

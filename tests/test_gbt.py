@@ -378,6 +378,19 @@ class TestTrain:
         with pytest.raises(ValueError, match="2 classes"):
             fs.train(table, fs.Hyperparams(n_estimators=1))
 
+    def test_one_class_of_three_rejected(self):
+        table = make_table(np.arange(6.0)[:, None], [2] * 6, n_classes=3)
+        with pytest.raises(ValueError, match=r"^training requires at least 2 classes present$"):
+            fs.train(table, fs.Hyperparams(n_estimators=1))
+
+    def test_classes_zero_and_two_of_three_train(self):
+        # No row has class 1: the check counts classes present, not class codes.
+        X = np.repeat([[0.0], [1.0]], 5, axis=0)
+        table = make_table(X, [0] * 5 + [2] * 5, n_classes=3)
+        ens = fs.train(table, fs.Hyperparams(n_estimators=2, max_depth=1))
+        assert len(ens.trees) == 2 * 3
+        assert fs.predict_classes(ens, X).tolist() == table.labels.tolist()
+
     def test_empty_table_rejected(self):
         table = make_table(np.zeros((0, 1)), np.zeros(0, dtype=int), n_classes=2)
         with pytest.raises(ValueError, match="empty"):

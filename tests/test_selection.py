@@ -208,6 +208,52 @@ class TestCorrelationScores:
         assert len(runs[0]) == 77 * 8 and runs[0] == runs[1]
 
 
+class TestFitStageImports:
+    def test_training_and_scoring_leave_numpy_ma_unloaded(self):
+        # np.unique imports numpy.ma (about 1.3 MB) on its first call; train
+        # and select need no module that prepare and explain do not load.
+        script = (
+            "import sys, numpy as np, flowshap as fs\n"
+            "rng = np.random.default_rng(8)\n"
+            "y = np.arange(120) % 3\n"
+            "X = rng.normal(size=(120, 4)) + y[:, None] * [1.5, 0.0, 0.5, 0.0]\n"
+            "table = fs.FlowTable(['a', 'b', 'c', 'd'], X, y, ['x', 'y', 'z'], np.ones(120))\n"
+            "train, test = fs.stratified_split(table, fs.SplitSpec(train_fraction=0.75, seed=1))\n"
+            "hp = fs.Hyperparams(n_estimators=2, max_depth=2)\n"
+            "fs.train(train, hp)\n"
+            "ranking = fs.ImportanceRanking(entries=[(f, 1.0) for f in table.feature_names], scope='global')\n"
+            "assert fs.forward_select(ranking, train, test, hp).trace\n"
+            "for score in (fs.correlation_scores, fs.chi_square_scores, fs.anova_scores):\n"
+            "    score(train)\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        src = str(Path(fs.__file__).parents[1])
+        run = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))},
+        )
+        assert run.stdout == "False\n"
+
+
+def degenerate_scoring_table():
+    """Classes 0-3 of 5 (class 3 has 2 rows, class 4 none) over a constant
+    column, a duplicated column, a heavily tied column, a heavy-tailed one and
+    one far from zero, so that centring and scaling round."""
+    rng = np.random.default_rng(31)
+    y = np.array([0] * 150 + [1] * 60 + [2] * 25 + [3] * 2)
+    rng.shuffle(y)
+    base = rng.normal(size=y.size) + 0.7 * y
+    X = np.column_stack([
+        base,
+        np.full(y.size, 4.25),
+        base,
+        rng.integers(0, 3, y.size).astype(float),
+        rng.lognormal(sigma=3.0, size=y.size) * (1 + y),
+        1e9 + rng.normal(size=y.size) * (1 + y),
+    ])
+    return make_table(X, y, n_classes=5)
+
+
 class TestChiSquareScores:
     def test_identical_distribution_scores_zero(self):
         X = np.tile(np.array([[1.0], [2.0], [3.0]]), (2, 1))
@@ -239,6 +285,24 @@ class TestChiSquareScores:
     def test_constant_feature_scores_zero(self):
         table = make_table(np.full((6, 1), 3.0), [0, 1] * 3)
         assert fs.chi_square_scores(table).scores[0] == 0.0
+
+    def test_scores_are_bitwise_the_copying_expression(self):
+        table = degenerate_scoring_table()
+        X, y, n = table.features, table.labels, table.n_rows
+        lo = X.min(axis=0)
+        span = X.max(axis=0) - lo
+        scaled = np.divide(X - lo, span, out=np.zeros_like(X), where=span > 0)
+        total = scaled.sum(axis=0)
+        ref = np.zeros(table.n_features)
+        for k in range(len(table.class_names)):
+            mask = y == k
+            observed = scaled[mask].sum(axis=0)
+            expected = (mask.sum() / n) * total
+            ref += np.divide((observed - expected) ** 2, expected,
+                             out=np.zeros_like(expected), where=expected > 0)
+        got = fs.chi_square_scores(table).scores
+        assert got[1] == 0.0 and got[0] == got[2]
+        assert np.array_equal(got, ref)
 
 
 class TestAnovaScores:
@@ -280,6 +344,25 @@ class TestAnovaScores:
         table = make_table(np.zeros((3, 1)), [0, 0, 1])
         with pytest.raises(ValueError, match="single sample"):
             fs.anova_scores(table)
+
+    def test_scores_are_bitwise_the_copying_expression(self):
+        table = degenerate_scoring_table()
+        X, y, n = table.features, table.labels, table.n_rows
+        present = [k for k in range(len(table.class_names)) if (y == k).any()]
+        grand = X.mean(axis=0)
+        ssb = np.zeros(table.n_features)
+        ssw = np.zeros(table.n_features)
+        for k in present:
+            block = X[y == k]
+            mean_k = block.mean(axis=0)
+            ssb += block.shape[0] * (mean_k - grand) ** 2
+            ssw += ((block - mean_k) ** 2).sum(axis=0)
+        msb = ssb / (len(present) - 1)
+        msw = ssw / (n - len(present))
+        ref = np.divide(msb, msw, out=np.where(msb > 0, ANOVA_SENTINEL, 0.0), where=msw > 0)
+        got = fs.anova_scores(table).scores
+        assert got[1] == 0.0 and got[0] == got[2]
+        assert np.array_equal(got, ref)
 
 
 class TestFilterSelect:
