@@ -19,7 +19,7 @@
 # quoted cell, under both trees, and require each one's tables and report to be
 # byte-identical too; and twice more on the 30,000-row input, with
 # `[split] stratified = false` and with `[split] train_fraction = 0.5` (another
-# cycle structure for the in-place train/test partition).
+# train/test cut).
 # Every pair is compared even after one differs: each file that differs is
 # named on stderr, and the script exits nonzero at the end if any did.
 #

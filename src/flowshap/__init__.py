@@ -14,6 +14,7 @@ from .ingest import (
     preprocess,
     read_flow_csv,
     save_table,
+    split_rows,
     stratified_split,
 )
 from .gbt import (

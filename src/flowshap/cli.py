@@ -122,22 +122,21 @@ def cmd_prepare(cfg: RunConfig) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     table, rows_in = ingest.read_flow_csv(cfg.input_csv, drop_columns=set(cfg.drop_columns),
                                           label_column=cfg.label_column)
-    train_t, test_t = ingest.stratified_split(table, cfg.split_spec(), in_place=True)
-    del table  # its feature rows are train_t's and test_t's now
-    cw = ingest.class_weights(train_t.labels, len(train_t.class_names))
-    ingest.save_table(train_t, out / TRAIN_TABLE)
-    ingest.save_table(test_t, out / TEST_TABLE)
+    train_rows, test_rows = ingest.split_rows(table, cfg.split_spec())
+    cw = ingest.class_weights(table.labels[train_rows], len(table.class_names))
+    ingest.save_table(table, out / TRAIN_TABLE, train_rows)
+    ingest.save_table(table, out / TEST_TABLE, test_rows)
     report = {
         "rows_in": rows_in,
-        "rows_dropped": rows_in - train_t.n_rows - test_t.n_rows,
-        "features_kept": train_t.n_features,
-        "train_rows": train_t.n_rows,
-        "test_rows": test_t.n_rows,
+        "rows_dropped": rows_in - table.n_rows,
+        "features_kept": table.n_features,
+        "train_rows": len(train_rows),
+        "test_rows": len(test_rows),
         "class_histogram": {
-            name: int(cw.class_counts[k]) for k, name in enumerate(train_t.class_names)
+            name: int(cw.class_counts[k]) for k, name in enumerate(table.class_names)
         },
         "class_weights": {
-            name: float(cw.weights[k]) for k, name in enumerate(train_t.class_names)
+            name: float(cw.weights[k]) for k, name in enumerate(table.class_names)
         },
     }
     _finish(cfg, out, "prepare", report)

@@ -42,7 +42,8 @@ DEFAULT_LABEL_COLUMN = "Stage"
 
 # Rows parsed at a time: the cell text of one chunk is all the CSV text held, about 1.3 MB at 256 rows
 # of 84 cells. On a 30,000-row, 77-feature input, prepare peaked at 56.9 MB with 1,024-row chunks, 53.6
-# with 512 and 51.7 with 256 (the table is 17.6 MB), and read the file equally fast with each.
+# with 512 and 51.7 with 256 (the table is 17.6 MB), and read the file equally fast with each. It also
+# bounds save_table's gather: the rows it copies at a time before writing them.
 PARSE_CHUNK_ROWS = 256
 MIN_RANGE_BYTES = 1 << 20  # bytes of a parse range at least; the scan that cuts ranges reads 1/16 at a time
 
@@ -131,18 +132,6 @@ def _move_rows_down(array, rows) -> None:
     """``array[:len(rows)] = array[rows]`` in chunks: ``rows`` ascend, so no row is overwritten unread."""
     for at in range(np.count_nonzero(rows == np.arange(len(rows))), len(rows), PARSE_CHUNK_ROWS):
         array[at:min(at + PARSE_CHUNK_ROWS, len(rows))] = array[rows[at:at + PARSE_CHUNK_ROWS]]
-
-
-def _permute_rows(array, rows) -> None:
-    """``array[:] = array[rows]`` for a permutation ``rows``, which it consumes: each cycle is followed row
-    by row from one saved row, and each row written is marked in ``rows`` as in place."""
-    source = memoryview(rows)
-    for start in range(len(rows)):
-        if source[start] != start:  # neither in place nor written already
-            saved, to = array[start].copy(), start
-            while (at := source[to]) != start:
-                array[to], source[to], to = array[at], to, at
-            array[to], source[to] = saved, to
 
 
 @dataclass(frozen=True)
@@ -359,10 +348,9 @@ def _parse_table(read, drop_columns, label_column: str, bound: int, ranges=((0, 
                      sample_weights=np.ones(len(labels))), sum(map(len, chain(*keeps)))
 
 
-def stratified_split(table: FlowTable, spec: SplitSpec, in_place: bool = False) -> tuple[FlowTable, FlowTable]:
-    """Seed-deterministic train/test partition, each half in row order; per-class when stratified.
-    ``in_place`` moves the train rows, then the test rows, to the front of ``table.features``, and both
-    halves' features are views of it."""
+def split_rows(table: FlowTable, spec: SplitSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Seed-deterministic train/test partition as the ascending train and test row indices; per-class
+    when stratified."""
     rng = SplitMix64(spec.seed)
     groups = ((np.flatnonzero(table.labels == k) for k in range(len(table.class_names)))
               if spec.stratified else [np.arange(table.n_rows)])
@@ -372,13 +360,13 @@ def stratified_split(table: FlowTable, spec: SplitSpec, in_place: bool = False) 
             raise ValueError(f"class {table.class_names[k]!r} has a single sample; cannot split stratified")
         rng.shuffle(memoryview(rows))
         train[rows[:math.ceil(spec.train_fraction * len(rows) - 0.5)]] = True  # rounded, exact halves down
-    order, cut = np.argsort(~train, kind="stable"), np.count_nonzero(train)  # train rows, then test rows
-    if not in_place:
-        return table.take(order[:cut]), table.take(order[cut:])
-    labels, weights = table.labels[order], table.sample_weights[order]
-    _permute_rows(table.features, order)
-    return tuple(replace(table, features=table.features[part], labels=labels[part], sample_weights=weights[part])
-                 for part in (slice(cut), slice(cut, None)))
+    return np.flatnonzero(train), np.flatnonzero(~train)
+
+
+def stratified_split(table: FlowTable, spec: SplitSpec) -> tuple[FlowTable, FlowTable]:
+    """The train and test halves of ``split_rows``, copied, each in row order."""
+    train_rows, test_rows = split_rows(table, spec)
+    return table.take(train_rows), table.take(test_rows)
 
 
 def class_weights(labels, n_classes: int) -> ClassWeights:
@@ -402,17 +390,22 @@ def apply_sample_weights(table: FlowTable, cw: ClassWeights) -> FlowTable:
     return replace(table, sample_weights=cw.weights[table.labels])
 
 
-def save_table(table: FlowTable, path) -> None:
-    """Lossless binary round-trip of a FlowTable: the bytes ``np.savez`` writes to ``path``, each
-    array's data written from the array itself rather than from copies of up to 16 MiB of it."""
-    arrays = {"features": table.features, "labels": table.labels, "sample_weights": table.sample_weights,
-              "feature_names": np.array(table.feature_names, dtype=np.str_),
-              "class_names": np.array(table.class_names, dtype=np.str_)}
+def save_table(table: FlowTable, path, rows=None) -> None:
+    """Lossless binary round-trip of ``table.take(rows)``, every row if ``rows`` is None: the bytes
+    ``np.savez`` writes to ``path``, each array's rows gathered ``PARSE_CHUNK_ROWS`` at a time."""
+    rows = np.arange(table.n_rows) if rows is None else np.asarray(rows, dtype=np.int64)
+    arrays = {name: (getattr(table, name), rows) for name in ("features", "labels", "sample_weights")}
+    for name in ("feature_names", "class_names"):
+        names = np.array(getattr(table, name), dtype=np.str_)
+        arrays[name] = names, np.arange(len(names))
     with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED, allowZip64=True) as archive:
-        for name, array in arrays.items():
+        for name, (array, picks) in arrays.items():
             with archive.open(f"{name}.npy", "w", force_zip64=True) as fh:
-                np.lib.format.write_array_header_1_0(fh, np.lib.format.header_data_from_array_1_0(array))
-                fh.write(np.ravel(array, order="A").view(np.uint8).data)  # F order iff the header says so
+                header = {"descr": np.lib.format.dtype_to_descr(array.dtype), "fortran_order": False,
+                          "shape": (len(picks), *array.shape[1:])}
+                np.lib.format.write_array_header_1_0(fh, header)
+                for at in range(0, len(picks), PARSE_CHUNK_ROWS):  # a gather is C-ordered, as take's copy is
+                    fh.write(array[picks[at:at + PARSE_CHUNK_ROWS]].view(np.uint8).data)
 
 
 def load_table(path) -> FlowTable:

@@ -467,6 +467,12 @@ class TestFiniteFeatures:
         assert make_table(np.empty((4, 0)), [0, 1, 0, 1]).n_features == 0
 
 
+def _table_with_a_two_row_class():
+    """41 rows of 3 features with random weights; class 2 has 2 rows."""
+    rng = np.random.default_rng(8)
+    return make_table(rng.normal(size=(41, 3)), [0] * 25 + [1] * 14 + [2] * 2, weights=rng.uniform(0.5, 2, 41))
+
+
 class TestSaveLoadTable:
     def test_lossless_round_trip(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -481,11 +487,14 @@ class TestSaveLoadTable:
         assert np.array_equal(back.sample_weights, table.sample_weights)
 
     @staticmethod
-    def assert_savez_bytes(table, tmp_path):
-        fs.save_table(table, tmp_path / "saved.npz")
-        np.savez(tmp_path / "savez.npz", features=table.features, labels=table.labels,
-                 sample_weights=table.sample_weights, feature_names=np.array(table.feature_names, dtype=np.str_),
-                 class_names=np.array(table.class_names, dtype=np.str_))
+    def assert_savez_bytes(table, tmp_path, *rows):
+        """``save_table(table, path, *rows)`` writes the bytes ``np.savez`` writes for ``table.take(*rows)``,
+        or for ``table`` itself when no rows are given."""
+        fs.save_table(table, tmp_path / "saved.npz", *rows)
+        taken = table.take(*rows) if rows else table
+        np.savez(tmp_path / "savez.npz", features=taken.features, labels=taken.labels,
+                 sample_weights=taken.sample_weights, feature_names=np.array(taken.feature_names, dtype=np.str_),
+                 class_names=np.array(taken.class_names, dtype=np.str_))
         assert (tmp_path / "saved.npz").read_bytes() == (tmp_path / "savez.npz").read_bytes()
 
     def test_bytes_of_a_row_slice_of_a_larger_buffer_are_savez_bytes(self, tmp_path):
@@ -499,6 +508,38 @@ class TestSaveLoadTable:
                              labels=[0, 1, 1], class_names=["ürsprung", "Ωmega"], sample_weights=[1.0, 2.0, 0.5])
         self.assert_savez_bytes(table, tmp_path)
         assert fs.load_table(tmp_path / "saved.npz").feature_names == table.feature_names
+
+    @pytest.mark.parametrize("rows", ["all", "train", "test", "unsorted", "none"])
+    def test_bytes_of_chosen_rows_are_savez_bytes_of_take(self, tmp_path, monkeypatch, rows):
+        # 4-row gathers: the 41 rows, and each half, end partway through a chunk.
+        monkeypatch.setattr(fs.ingest, "PARSE_CHUNK_ROWS", 4)
+        table = _table_with_a_two_row_class()
+        train, test = fs.split_rows(table, fs.SplitSpec(train_fraction=0.7, seed=3))
+        picked = {"all": np.arange(41), "train": train, "test": test, "unsorted": [40, 3, 3, 0, 17, 22],
+                  "none": np.array([], dtype=np.int64)}[rows]
+        self.assert_savez_bytes(table, tmp_path, picked)
+
+    @pytest.mark.parametrize("rows", [[1], [40, 2, 7, 0], list(range(41))])
+    def test_bytes_of_rows_of_an_f_ordered_table_are_savez_bytes_of_take(self, tmp_path, monkeypatch, rows):
+        monkeypatch.setattr(fs.ingest, "PARSE_CHUNK_ROWS", 4)
+        table = _table_with_a_two_row_class().restrict(["f2", "f0"])
+        assert table.features.flags.f_contiguous and not table.features.flags.c_contiguous
+        self.assert_savez_bytes(table, tmp_path, rows)
+
+    def test_saving_half_the_rows_allocates_well_under_the_table(self, tmp_path):
+        # A gather of the whole half would allocate features.nbytes / 2; 256-row chunks of 77 features
+        # allocate about 160 kB at a time.
+        table = make_table(np.random.default_rng(9).normal(size=(5000, 77)), np.arange(5000) % 3)
+        rows = np.arange(0, 5000, 2)
+        tracemalloc.start()
+        try:
+            fs.save_table(table, tmp_path / "half.npz", rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < table.features.nbytes / 8
+        back = fs.load_table(tmp_path / "half.npz")
+        assert np.array_equal(back.features, table.features[rows])
 
 
 class TestStratifiedSplit:
@@ -565,20 +606,29 @@ class TestStratifiedSplit:
             fs.SplitSpec(train_fraction=1.0)
 
     @pytest.mark.parametrize("stratified", [True, False])
-    def test_in_place_halves_equal_the_copied_halves(self, stratified):
-        # Class 2 has 2 rows; the input is left as it was by the copying split only.
-        rng = np.random.default_rng(8)
-        features, labels = rng.normal(size=(41, 3)), np.array([0] * 25 + [1] * 14 + [2] * 2)
-        table = make_table(features.copy(), labels)
+    def test_split_rows_ascend_and_partition_every_row(self, stratified):
+        table = _table_with_a_two_row_class()
+        train, test = fs.split_rows(table, fs.SplitSpec(train_fraction=0.7, seed=3, stratified=stratified))
+        assert train.dtype == test.dtype == np.int64
+        assert (np.diff(train) > 0).all() and (np.diff(test) > 0).all()
+        assert not np.intersect1d(train, test).size
+        assert np.array_equal(np.union1d(train, test), np.arange(41))
+        if stratified:  # round(0.7 * count), halves down, per class: the 2-row class gives one row to each
+            assert np.bincount(table.labels[train]).tolist() == [17, 10, 1]
+
+    @pytest.mark.parametrize("stratified", [True, False])
+    def test_halves_are_take_of_the_split_rows_bit_for_bit(self, stratified):
+        table = _table_with_a_two_row_class()
+        before = [a.copy() for a in (table.features, table.labels, table.sample_weights)]
         spec = fs.SplitSpec(train_fraction=0.7, seed=3, stratified=stratified)
-        copied = fs.stratified_split(table, spec)
-        assert np.array_equal(table.features, features) and np.array_equal(table.labels, labels)
-        in_place = fs.stratified_split(table, spec, in_place=True)
-        assert np.shares_memory(in_place[0].features, table.features)
-        assert np.shares_memory(in_place[1].features, table.features)
-        for a, b in zip(copied, in_place):
+        halves = fs.stratified_split(table, spec)
+        for a, b in zip((table.features, table.labels, table.sample_weights), before):
+            assert a.tobytes() == b.tobytes()  # the input is left as it was
+        for half, rows in zip(halves, fs.split_rows(table, spec)):
+            taken = table.take(rows)
+            assert not np.shares_memory(half.features, table.features)
             for name in ("features", "labels", "sample_weights"):
-                assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+                assert getattr(half, name).tobytes() == getattr(taken, name).tobytes()
 
 
 class TestClassWeights:
