@@ -14,6 +14,10 @@
 # Then run `prepare`, `train` and `explain` with `[explain] rows = train` on that
 # input under both trees and require the attributions and every ranking to be
 # byte-identical.
+# Then run `prepare` and `train` on that input twice more, under
+# `[hyperparams] alpha = 0.5` and `gamma = 0.25` and under `lambda = 0.0`
+# (where split search meets gain terms with non-positive denominators), and
+# require `model.json` and the untimed `train_report.json` to be byte-identical.
 # Then run `flowshap prepare` on a 30,000-row input (about 300 dirty rows over
 # about 118 parse chunks), on a copy with CRLF line ends and on a copy with one
 # quoted cell, under both trees, and require each one's tables and report to be
@@ -105,6 +109,24 @@ for f in $files; do
     same "$work/train-rows-new/$f" "$work/train-rows-old/$f"
 done
 echo "prepare, train, explain of the train rows: $(echo "$files" | wc -l) artifacts compared"
+for run in 'alpha-gamma:alpha = 0.5\ngamma = 0.25' 'lambda0:lambda = 0.0'; do
+    name=${run%%:*} hyper=${run#*:}
+    for side in new old; do
+        tree=$root
+        [ "$side" = old ] && tree=$other
+        dir=$work/$name-$side
+        rm -rf "$dir"
+        printf "[run]\ninput_csv = %s\nseed = 42\noutput_dir = %s\n[hyperparams]\nn_estimators = 4\n$hyper\n" \
+            "$csv" "$dir" > "$dir.ini"
+        for stage in prepare train; do
+            PYTHONPATH="$tree/src" python -m flowshap.cli "$stage" --config "$dir.ini"
+        done
+        untimed "$dir/train_report.json" "$dir.train_report"
+    done
+    same "$work/$name-new/model.json" "$work/$name-old/model.json"
+    same "$work/$name-new.train_report" "$work/$name-old.train_report"
+    echo "prepare, train under $name: model.json and the untimed train report compared"
+done
 
 csv=$(python perfbench/flowgen.py "$work/cache" 30000 1 0 \
       | python -c "import json, sys; print(json.load(sys.stdin)['path'])")

@@ -11,14 +11,14 @@ the columns that are constant over its table, which have no boundary, and
 sorts each other feature once. A node whose hessian sum H has
 H - min_child_weight < min_child_weight is a leaf without a search, since a
 left child with HL >= min_child_weight leaves H - HL below it. Any other node
-scores its features in blocks of SPLIT_BLOCK_ELEMENTS // rows, with one
-cumulative sum per statistic for the whole block; the first maximum in
-feature-major order wins, so ties go to the lower feature index, then the
-lower threshold. The winning feature's sorted rows up to the boundary are the
-left child, and each child keeps the entries of its parent's sorted rows that
-go its way, which is the stable sort of its own rows. Leaf values are
--T(G)/(H+lambda) scaled by the learning rate. Training is fully deterministic
-for fixed inputs.
+scores its features in blocks of SPLIT_BLOCK_ELEMENTS // rows, in four
+block-sized arrays with the cumulative sums taken in place; a side's gain
+terms are a plain division when all its denominators are positive, else 0
+where one is not. The first maximum in feature-major order wins, so ties go to
+the lower feature index, then the lower threshold. The winning feature's sorted
+rows up to the boundary are the left child, and each child keeps the entries of
+its parent's sorted rows that go its way, the stable sort of its own rows. Leaf
+values are -T(G)/(H+lambda) times the learning rate. Training is deterministic.
 """
 
 import json
@@ -173,19 +173,25 @@ def _soft_threshold(g, alpha: float):
     return np.sign(g) * np.maximum(np.abs(g) - alpha, 0.0)
 
 
-def _gain_terms(G, H, hp: Hyperparams):
+def _gain_terms(G, H, hp: Hyperparams, in_place=False):
+    """T(G)^2 / (H + lambda), 0 where H + lambda is not positive; ``in_place`` overwrites G and H."""
     Gt = _soft_threshold(G, hp.reg_alpha)
-    denom = H + hp.reg_lambda
-    return np.divide(Gt * Gt, denom, out=np.zeros(np.shape(denom)), where=denom > 0)
+    num = np.multiply(Gt, Gt, out=G if in_place else None)
+    denom = np.add(H, hp.reg_lambda, out=H if in_place else None)
+    if in_place and denom.min() > 0:  # the masked division's bits, without its mask and zero fill
+        return np.divide(num, denom, out=num)
+    return np.divide(num, denom, out=np.zeros(np.shape(denom)), where=denom > 0)
 
 
-def _split_gains(GL, HL, GR, HR, parent, hp: Hyperparams):
-    """1/2 (L + R - P) - gamma in place: L, R the children's gain terms, P ``parent``'s."""
-    gains = _gain_terms(GL, HL, hp)
-    gains += _gain_terms(GR, HR, hp)
+def _split_gains(GL, HL, GR, HR, parent, hp: Hyperparams, in_place=False):
+    """1/2 (L + R - P) - gamma: L, R the children's gain terms, P ``parent``'s.
+    ``in_place`` lets the terms overwrite the four arrays of child sums."""
+    gains = _gain_terms(GL, HL, hp, in_place)
+    gains += _gain_terms(GR, HR, hp, in_place)
     gains -= parent
     gains *= 0.5
-    gains -= hp.gamma
+    if hp.gamma:  # x - 0.0 is x
+        gains -= hp.gamma
     return gains
 
 
@@ -202,6 +208,10 @@ def _best_split(XT, idx, g, h, G, H, hp: Hyperparams):
     Returns (feature_index, threshold, gain, i) or None; the rows at
     ``idx[feature_index, : i + 1]`` go left. Ties go to the lower feature
     index, then the lower threshold.
+
+    A block holds four float arrays of its size at most: the left sums, taken
+    in place on the gathers of g and h, and the right sums, all of which the
+    gain terms overwrite. Its last column sums every row and is masked out.
     """
     mcw = hp.min_child_weight
     if idx.shape[1] < 2 or H - mcw < mcw:  # HL >= mcw implies H - HL < mcw
@@ -213,16 +223,20 @@ def _best_split(XT, idx, g, h, G, H, hp: Hyperparams):
         order = idx[start : start + width]
         at = np.arange(start, start + order.shape[0])[:, None] * XT.shape[1]
         sv = XT.ravel()[order + at]  # one flat gather: cheaper than 2-D fancy indexing
-        GL = g[order].cumsum(axis=1)[:, :-1]
-        HL = h[order].cumsum(axis=1)[:, :-1]
+        ok = np.zeros(order.shape, dtype=bool)  # the last column sums every row: no boundary
+        np.less(sv[:, :-1], sv[:, 1:], out=ok[:, :-1])  # False wherever a NaN is compared
+        del sv
+        GL, HL = g[order], h[order]
+        GL.cumsum(axis=1, out=GL)  # in place: the same sequential sums
+        HL.cumsum(axis=1, out=HL)
         HR = H - HL
-        gains = _split_gains(GL, HL, G - GL, HR, parent, hp)
-        ok = (sv[:, :-1] < sv[:, 1:]) & (HL >= mcw) & (HR >= mcw)
-        gains[~ok] = -np.inf  # feature-major: the first maximum wins ties
+        ok &= (HL >= mcw) & (HR >= mcw)
+        gains = _split_gains(GL, HL, G - GL, HR, parent, hp, in_place=True)
+        np.copyto(gains, -np.inf, where=~ok)  # feature-major: the first maximum wins ties
         f, i = divmod(int(gains.argmax()), gains.shape[1])
         gain = float(gains[f, i])
         if gain > 0.0 and (best is None or gain > best[2]):
-            lo, hi = float(sv[f, i]), float(sv[f, i + 1])
+            lo, hi = XT[start + f, order[f, i : i + 2]].tolist()
             thr = (lo + hi) / 2.0
             if not lo < thr <= hi:  # adjacent floats collapse, huge ones overflow
                 thr = hi
@@ -232,9 +246,11 @@ def _best_split(XT, idx, g, h, G, H, hp: Hyperparams):
 
 def find_best_split(node_rows, g, h, table: FlowTable, hp: Hyperparams):
     """Best qualifying split for the given rows, or None to make a leaf."""
-    rows = np.asarray(node_rows, dtype=np.int64)
-    if rows.size == 0:
-        raise ValueError("node_rows must be nonempty")
+    rows = np.asarray(node_rows)
+    n = table.n_rows
+    if (rows.ndim != 1 or rows.size == 0 or rows.dtype.kind not in "iu" or rows.min() < 0
+            or rows.max() >= n or np.bincount(rows.astype(np.int64)).max() > 1):
+        raise ValueError(f"node_rows must be distinct integer row indices in [0, {n})")
     g, h = np.asarray(g), np.asarray(h)
     G, H = float(g[rows].sum()), float(h[rows].sum())
     XT = np.ascontiguousarray(table.features[rows].T)  # the node's own table

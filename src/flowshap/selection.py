@@ -115,10 +115,11 @@ def correlation_scores(table: FlowTable) -> FilterScores:
         raise ValueError("need at least 2 rows")
     X = table.features
     y = table.labels.astype(np.float64)
-    xc = X - X.mean(axis=0)
-    yc = y - y.mean()
-    num = (xc * yc[:, None]).sum(axis=0)  # rows added in order: no BLAS call
-    den = np.sqrt((xc * xc).sum(axis=0) * (yc * yc).sum())
+    mean, yc = X.mean(axis=0), y - y.mean()
+    xc = X - mean  # the one table-sized buffer, centred twice
+    num = np.multiply(xc, yc[:, None], out=xc).sum(axis=0)  # rows added in order: no BLAS call
+    np.subtract(X, mean, out=xc)
+    den = np.sqrt(np.multiply(xc, xc, out=xc).sum(axis=0) * (yc * yc).sum())
     scores = np.divide(np.abs(num), den, out=np.zeros_like(den), where=den > 0)
     return FilterScores("correlation", scores, list(table.feature_names))
 

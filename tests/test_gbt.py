@@ -2,6 +2,7 @@
 
 import functools
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -196,6 +197,19 @@ def block_spanning_table(seed, signal, width=5, m=13):
     return X, g, h
 
 
+def negative_hessians(X, h):
+    """Negative hessians on the rows where column 3 is low or high, so that
+    column's first boundaries have left sums and its last ones right sums
+    below -lambda; a positive middle keeps the node's sum positive."""
+    ends = (X[:, 3] < 2) | (X[:, 3] > 5)
+    return np.where(ends, h - 3.0, h + 3.0)
+
+
+def zero_hessian_ends(X, h):
+    """Zero hessians on the rows holding column 3's lowest and highest values."""
+    return np.where((X[:, 3] == X[:, 3].min()) | (X[:, 3] == X[:, 3].max()), 0.0, h)
+
+
 def enumerate_best_split(X, g, h, hp):
     """Independent enumeration over every feature and boundary with split_gain."""
     best = None
@@ -231,20 +245,29 @@ class TestFindBestSplit:
         assert fs.find_best_split(np.arange(6), g, h, table, fs.Hyperparams()) is None
 
     @pytest.mark.parametrize(
-        "seed, signal, hp",
+        "seed, signal, hp, hessians",
         [
-            (None, None, fs.Hyperparams()),
-            (0, 4, fs.Hyperparams()),
-            (1, 9, fs.Hyperparams(min_child_weight=0.0)),
-            (2, 4, fs.Hyperparams(min_child_weight=700.0, gamma=2.0)),
-            (3, 9, fs.Hyperparams(min_child_weight=5.0, gamma=1.0, reg_alpha=1.5)),
-            pytest.param(4, 4, fs.Hyperparams(reg_lambda=0.0, min_child_weight=0.0),
+            (None, None, fs.Hyperparams(), None),
+            (0, 4, fs.Hyperparams(), None),
+            (1, 9, fs.Hyperparams(min_child_weight=0.0), None),
+            (2, 4, fs.Hyperparams(min_child_weight=700.0, gamma=2.0), None),
+            (3, 9, fs.Hyperparams(min_child_weight=5.0, gamma=1.0, reg_alpha=1.5), None),
+            pytest.param(4, 4, fs.Hyperparams(reg_lambda=0.0, min_child_weight=0.0), None,
                          marks=pytest.mark.filterwarnings("error")),  # zero-hessian children
+            # the masked division: non-positive denominators on both sides of one
+            # block, and admissible zero ones; then alpha without the gamma pass
+            pytest.param(5, 4, fs.Hyperparams(min_child_weight=0.0), negative_hessians,
+                         marks=pytest.mark.filterwarnings("error")),
+            pytest.param(6, 3, fs.Hyperparams(reg_lambda=0.0, min_child_weight=0.0), zero_hessian_ends,
+                         marks=pytest.mark.filterwarnings("error")),
+            pytest.param(7, 9, fs.Hyperparams(gamma=0.0, reg_alpha=1.5), None,
+                         marks=pytest.mark.filterwarnings("error")),
         ],
         ids=["hand", "blocks-default", "blocks-mcw0", "blocks-mcw700-gamma", "blocks-alpha",
-             "blocks-lambda0-mcw0"],
+             "blocks-lambda0-mcw0", "blocks-negative-hessians", "blocks-lambda0-zero-hessian-ends",
+             "blocks-alpha-gamma0"],
     )
-    def test_perfect_separation_matches_enumeration(self, seed, signal, hp):
+    def test_perfect_separation_matches_enumeration(self, seed, signal, hp, hessians):
         if seed is None:
             X = np.zeros((8, 3))
             X[:, 1] = [0, 0, 0, 0, 1, 1, 1, 1]
@@ -253,6 +276,8 @@ class TestFindBestSplit:
             h = np.ones(8)
         else:
             X, g, h = block_spanning_table(seed, signal)
+            if hessians is not None:
+                h = hessians(X, h)
         table = make_table(X, np.arange(len(g)) % 2)
         got = fs.find_best_split(np.arange(len(g)), g, h, table, hp)
         assert got is not None
@@ -333,6 +358,44 @@ class TestFindBestSplit:
         table = make_table(np.zeros((2, 1)), [0, 1])
         with pytest.raises(ValueError):
             fs.find_best_split([], np.zeros(2), np.ones(2), table, fs.Hyperparams())
+
+    @pytest.mark.parametrize(
+        "rows", [[0, 0, 2, 3], [-1, 0], [0.7, 2.2], [0, 9]],
+        ids=["repeated", "negative", "fractional", "out-of-range"],
+    )
+    def test_rows_that_are_not_distinct_indices_rejected(self, rows):
+        table = make_table(np.array([[0.0], [1.0], [2.0], [3.0]]), [0, 0, 1, 1])
+        g = np.array([-1.0, -1, 1, 1])
+        with pytest.raises(ValueError, match=r"distinct integer row indices in \[0, 4\)"):
+            fs.find_best_split(rows, g, np.ones(4), table, fs.Hyperparams(min_child_weight=0.0))
+
+    def test_boundary_next_to_nan_is_inadmissible(self):
+        # A table refuses non-finite cells, but the search itself must never
+        # split at a boundary whose comparison meets a NaN: here that boundary
+        # would carry the largest gain.
+        XT = np.array([[0.0, 1.0, 2.0, np.nan]])
+        g, h = np.array([0.0, 0.0, 0.0, 4.0]), np.ones(4)
+        hp = fs.Hyperparams(min_child_weight=0.0)
+        best = gbt._best_split(XT, np.argsort(XT, axis=1, kind="stable"), g, h, 4.0, 4.0, hp)
+        assert best == (0, 1.5, fs.split_gain(0.0, 2.0, 4.0, 2.0, hp), 1)
+
+    def test_one_block_peaks_below_six_and_a_half_block_arrays(self):
+        # A block of 13 features x 1,260 rows fills SPLIT_BLOCK_ELEMENTS; its
+        # search holds four arrays of that size at once, 9 before the block's
+        # temporaries were reused.
+        rng = np.random.default_rng(9)
+        XT = rng.integers(0, 50, size=(13, 1260)).astype(np.float64)
+        idx = np.argsort(XT, axis=1, kind="stable")
+        g, h = rng.normal(size=1260), rng.random(1260) + 0.1
+        assert gbt.SPLIT_BLOCK_ELEMENTS // 1260 >= 13
+        tracemalloc.start()
+        try:
+            best = gbt._best_split(XT, idx, g, h, float(g.sum()), float(h.sum()), fs.Hyperparams())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert best is not None
+        assert peak < 6.5 * XT.nbytes
 
 
 class TestTrain:

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -206,6 +207,32 @@ class TestCorrelationScores:
             for threads in ("1", "2")
         ]
         assert len(runs[0]) == 77 * 8 and runs[0] == runs[1]
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_scores_are_bitwise_the_two_copy_expression(self, order):
+        table = degenerate_scoring_table()
+        table = replace(table, features=np.asarray(table.features, order=order))  # restrict makes F order
+        X, y = table.features, table.labels.astype(np.float64)
+        xc = X - X.mean(axis=0)
+        yc = y - y.mean()
+        num = (xc * yc[:, None]).sum(axis=0)
+        den = np.sqrt((xc * xc).sum(axis=0) * (yc * yc).sum())
+        ref = np.divide(np.abs(num), den, out=np.zeros_like(den), where=den > 0)
+        got = fs.correlation_scores(table).scores
+        assert got[1] == 0.0 and got[0] == got[2]
+        assert np.array_equal(got, ref)
+
+    def test_peak_memory_is_one_table_copy(self):
+        # One buffer is centred twice; the two-copy expression peaked at 2.05x.
+        rng = np.random.default_rng(14)
+        table = make_table(rng.lognormal(sigma=2.0, size=(5000, 77)), rng.integers(0, 6, 5000))
+        tracemalloc.start()
+        try:
+            fs.correlation_scores(table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * table.features.nbytes
 
 
 class TestFitStageImports:
