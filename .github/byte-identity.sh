@@ -14,9 +14,12 @@
 # Then run `prepare`, `train` and `explain` with `[explain] rows = train` on that
 # input under both trees and require the attributions and every ranking to be
 # byte-identical.
-# Then run `prepare` and `train` on that input twice more, under
-# `[hyperparams] alpha = 0.5` and `gamma = 0.25` and under `lambda = 0.0`
-# (where split search meets gain terms with non-positive denominators), and
+# Then run `prepare` and `train` on that input three times more, under
+# `[hyperparams] alpha = 0.5` and `gamma = 0.25`, under `lambda = 0.0` (where
+# split search meets gain terms with non-positive denominators), and under
+# `alpha = 0.5`, `lambda = 0.0` and `min_child_weight = 0.0` together (where
+# soft-thresholded child sums meet non-positive denominators, and no node is too
+# light to be searched, so every node's parent term is scored), and
 # require `model.json` and the untimed `train_report.json` to be byte-identical.
 # Then run `flowshap prepare` on a 30,000-row input (about 300 dirty rows over
 # about 118 parse chunks), on a copy with CRLF line ends and on a copy with one
@@ -109,7 +112,8 @@ for f in $files; do
     same "$work/train-rows-new/$f" "$work/train-rows-old/$f"
 done
 echo "prepare, train, explain of the train rows: $(echo "$files" | wc -l) artifacts compared"
-for run in 'alpha-gamma:alpha = 0.5\ngamma = 0.25' 'lambda0:lambda = 0.0'; do
+for run in 'alpha-gamma:alpha = 0.5\ngamma = 0.25' 'lambda0:lambda = 0.0' \
+           'alpha-lambda0-mcw0:alpha = 0.5\nlambda = 0.0\nmin_child_weight = 0.0'; do
     name=${run%%:*} hyper=${run#*:}
     for side in new old; do
         tree=$root

@@ -279,11 +279,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("prepare", parents=[common], help="parse, clean, and split the input CSV")
-    sub.add_parser("train", parents=[common], help="train the full-feature model")
-    sub.add_parser("explain", parents=[common], help="export attributions and rankings")
-    sub.add_parser("select", parents=[common, select_opts], help="select features and retrain")
-    sub.add_parser("pipeline", parents=[common, select_opts], help="run all stages in order")
+    sub.add_parser("prepare", parents=[common],
+                   help="parse, clean, and split the input CSV").set_defaults(run=cmd_prepare)
+    sub.add_parser("train", parents=[common], help="train the full-feature model").set_defaults(run=cmd_train)
+    sub.add_parser("explain", parents=[common], help="export attributions and rankings").set_defaults(run=cmd_explain)
+    sub.add_parser("select", parents=[common, select_opts],
+                   help="select features and retrain").set_defaults(run=cmd_select)
+    sub.add_parser("pipeline", parents=[common, select_opts],
+                   help="run all stages in order").set_defaults(run=cmd_pipeline)
     return parser
 
 
@@ -291,16 +294,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = build_config(args)
-        if args.command == "prepare":
-            cmd_prepare(cfg)
-        elif args.command == "train":
-            cmd_train(cfg)
-        elif args.command == "explain":
-            cmd_explain(cfg)
-        elif args.command == "select":
-            cmd_select(cfg, compare=args.compare)
-        elif args.command == "pipeline":
-            cmd_pipeline(cfg, compare=args.compare)
+        args.run(cfg, **({"compare": args.compare} if "compare" in args else {}))
     except Exception as exc:  # single structured diagnostic line, nonzero exit
         print(
             json.dumps({"error": type(exc).__name__, "message": str(exc)}),

@@ -75,10 +75,6 @@ def conditional_expectation(tree: Tree, x, feature_subset) -> float:
     return _cond_exp(tree, x, subset.__contains__, 0)
 
 
-def _cond_exp_mask(tree: Tree, x: np.ndarray, mask: int) -> float:
-    return _cond_exp(tree, x, lambda f: (mask >> f) & 1, 0)
-
-
 def _tree_feature_mask(tree: Tree) -> int:
     mask = 0
     for f in tree.feature:
@@ -108,13 +104,10 @@ def brute_force_shapley(ens: TreeEnsemble, x, class_k: int):
     v = np.zeros(n_sub, dtype=np.float64)
     for tree in ens.class_trees(class_k):
         dmask = _tree_feature_mask(tree)
-        if dmask == 0:
-            v += _cond_exp_mask(tree, x, 0)
-            continue
         ce = np.zeros(n_sub, dtype=np.float64)
         sub = dmask
         while True:
-            ce[sub] = _cond_exp_mask(tree, x, sub)
+            ce[sub] = _cond_exp(tree, x, lambda f: (sub >> f) & 1, 0)
             if sub == 0:
                 break
             sub = (sub - 1) & dmask

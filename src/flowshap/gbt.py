@@ -173,21 +173,21 @@ def _soft_threshold(g, alpha: float):
     return np.sign(g) * np.maximum(np.abs(g) - alpha, 0.0)
 
 
-def _gain_terms(G, H, hp: Hyperparams, in_place=False):
-    """T(G)^2 / (H + lambda), 0 where H + lambda is not positive; ``in_place`` overwrites G and H."""
+def _gain_terms(G, H, hp: Hyperparams):
+    """T(G)^2 / (H + lambda), 0 where H + lambda is not positive, written over G and H (a number copied first)."""
+    G, H = np.asarray(G, dtype=np.float64), np.asarray(H, dtype=np.float64)
     Gt = _soft_threshold(G, hp.reg_alpha)
-    num = np.multiply(Gt, Gt, out=G if in_place else None)
-    denom = np.add(H, hp.reg_lambda, out=H if in_place else None)
-    if in_place and denom.min() > 0:  # the masked division's bits, without its mask and zero fill
+    num = np.multiply(Gt, Gt, out=G)
+    denom = np.add(H, hp.reg_lambda, out=H)
+    if denom.min() > 0:  # the masked division's bits, without its mask and zero fill
         return np.divide(num, denom, out=num)
-    return np.divide(num, denom, out=np.zeros(np.shape(denom)), where=denom > 0)
+    return np.divide(num, denom, out=np.zeros(denom.shape), where=denom > 0)
 
 
-def _split_gains(GL, HL, GR, HR, parent, hp: Hyperparams, in_place=False):
-    """1/2 (L + R - P) - gamma: L, R the children's gain terms, P ``parent``'s.
-    ``in_place`` lets the terms overwrite the four arrays of child sums."""
-    gains = _gain_terms(GL, HL, hp, in_place)
-    gains += _gain_terms(GR, HR, hp, in_place)
+def _split_gains(GL, HL, GR, HR, parent, hp: Hyperparams):
+    """1/2 (L + R - P) - gamma: L, R the children's gain terms, written over their sums, P ``parent``'s."""
+    gains = _gain_terms(GL, HL, hp)
+    gains += _gain_terms(GR, HR, hp)
     gains -= parent
     gains *= 0.5
     if hp.gamma:  # x - 0.0 is x
@@ -196,8 +196,8 @@ def _split_gains(GL, HL, GR, HR, parent, hp: Hyperparams, in_place=False):
 
 
 def split_gain(GL: float, HL: float, GR: float, HR: float, hp: Hyperparams) -> float:
-    """Gain of a candidate split from aggregated child gradients/hessians."""
-    return float(_split_gains(GL, HL, GR, HR, _gain_terms(GL + GR, HL + HR, hp), hp))
+    """Gain of a candidate split from aggregated child gradients/hessians; the sums are copied."""
+    return float(_split_gains(*map(np.array, (GL, HL, GR, HR)), _gain_terms(GL + GR, HL + HR, hp), hp))
 
 
 def _best_split(XT, idx, g, h, G, H, hp: Hyperparams):
@@ -231,7 +231,7 @@ def _best_split(XT, idx, g, h, G, H, hp: Hyperparams):
         HL.cumsum(axis=1, out=HL)
         HR = H - HL
         ok &= (HL >= mcw) & (HR >= mcw)
-        gains = _split_gains(GL, HL, G - GL, HR, parent, hp, in_place=True)
+        gains = _split_gains(GL, HL, G - GL, HR, parent, hp)
         np.copyto(gains, -np.inf, where=~ok)  # feature-major: the first maximum wins ties
         f, i = divmod(int(gains.argmax()), gains.shape[1])
         gain = float(gains[f, i])
@@ -252,6 +252,8 @@ def find_best_split(node_rows, g, h, table: FlowTable, hp: Hyperparams):
             or rows.max() >= n or np.bincount(rows.astype(np.int64)).max() > 1):
         raise ValueError(f"node_rows must be distinct integer row indices in [0, {n})")
     g, h = np.asarray(g), np.asarray(h)
+    if g.shape != (n,) or h.shape != (n,):
+        raise ValueError(f"g and h must hold one entry per table row ({n}), got shapes {g.shape} and {h.shape}")
     G, H = float(g[rows].sum()), float(h[rows].sum())
     XT = np.ascontiguousarray(table.features[rows].T)  # the node's own table
     best = _best_split(XT, np.argsort(XT, axis=1, kind="stable"), g[rows], h[rows], G, H, hp)

@@ -25,8 +25,6 @@ from operator import itemgetter
 
 import numpy as np
 
-from .prng import SplitMix64
-
 # Identifier columns that would let the model memorize the labeling process
 # instead of learning traffic behavior.
 DEFAULT_DROP_COLUMNS = (
@@ -46,6 +44,7 @@ DEFAULT_LABEL_COLUMN = "Stage"
 # bounds save_table's gather: the rows it copies at a time before writing them.
 PARSE_CHUNK_ROWS = 256
 MIN_RANGE_BYTES = 1 << 20  # bytes of a parse range at least; the scan that cuts ranges reads 1/16 at a time
+_MASK64 = (1 << 64) - 1  # splitmix64 state and draws are 64-bit
 
 
 class ParseError(ValueError):
@@ -348,17 +347,30 @@ def _parse_table(read, drop_columns, label_column: str, bound: int, ranges=((0, 
                      sample_weights=np.ones(len(labels))), sum(map(len, chain(*keeps)))
 
 
+def _shuffle(rows, state: int) -> int:
+    """Fisher-Yates shuffle of ``rows`` from its last item on splitmix64 draws from ``state``; its end state."""
+    for i in range(len(rows) - 1, 0, -1):
+        state = (state + 0x9E3779B97F4A7C15) & _MASK64
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        j = ((z ^ (z >> 31)) * (i + 1)) >> 64
+        rows[i], rows[j] = rows[j], rows[i]
+    return state
+
+
 def split_rows(table: FlowTable, spec: SplitSpec) -> tuple[np.ndarray, np.ndarray]:
     """Seed-deterministic train/test partition as the ascending train and test row indices; per-class
-    when stratified."""
-    rng = SplitMix64(spec.seed)
+    when stratified. Integer math, so identical everywhere: the groups (the classes in code order, or
+    every row) are shuffled on one splitmix64 generator seeded with ``seed mod 2**64``, by Fisher-Yates
+    from the last row, row i swapped with row ``(draw * (i + 1)) >> 64``."""
+    state = spec.seed & _MASK64
     groups = ((np.flatnonzero(table.labels == k) for k in range(len(table.class_names)))
               if spec.stratified else [np.arange(table.n_rows)])
     train = np.zeros(table.n_rows, dtype=bool)
     for k, rows in enumerate(groups):
         if spec.stratified and len(rows) == 1:
             raise ValueError(f"class {table.class_names[k]!r} has a single sample; cannot split stratified")
-        rng.shuffle(memoryview(rows))
+        state = _shuffle(memoryview(rows), state)
         train[rows[:math.ceil(spec.train_fraction * len(rows) - 0.5)]] = True  # rounded, exact halves down
     return np.flatnonzero(train), np.flatnonzero(~train)
 

@@ -791,6 +791,19 @@ class TestMainEntry:
         cfg = cli.build_config(args)
         assert cfg.evaluation_scope == "test"
 
+    @pytest.mark.parametrize("command", ["prepare", "train", "explain", "select", "pipeline"])
+    def test_main_calls_the_command_through_its_module_attribute(self, tmp_path, monkeypatch, command):
+        # perfbench/tracer.py times a stage by replacing cli.cmd_<stage>: main
+        # must call whatever that attribute holds, passing --compare to the
+        # commands that take it.
+        calls = []
+        monkeypatch.setattr(cli, f"cmd_{command}", lambda cfg, **kwargs: calls.append((cfg, kwargs)))
+        flags = ["--compare"] if command in ("select", "pipeline") else []
+        assert cli.main([command, "--output-dir", str(tmp_path), "--seed", "5", *flags]) == 0
+        [(cfg, kwargs)] = calls
+        assert (cfg.output_dir, cfg.seed) == (str(tmp_path), 5)
+        assert kwargs == ({"compare": True} if flags else {})
+
 
 class TestConfigSchema:
     def test_percent_values_round_trip(self, tmp_path):

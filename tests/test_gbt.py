@@ -167,6 +167,18 @@ class TestSplitGain:
         # thresholded G: -2 -> -1, 2 -> 1, parent 0 -> 0; 0.5 * (1/2 + 1/2)
         assert fs.split_gain(-2.0, 1.0, 2.0, 1.0, hp) == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("reg_alpha", [0.0, 1.0])
+    @pytest.mark.parametrize("reg_lambda", [0.0, 1.0])
+    def test_writes_into_no_callers_array(self, reg_alpha, reg_lambda):
+        # The gain terms are written over their sums: split_gain must copy the
+        # caller's, here 0-d float64 arrays, and score them as Python floats.
+        hp = fs.Hyperparams(reg_lambda=reg_lambda, reg_alpha=reg_alpha, gamma=0.5)
+        sums = [-2.5, 0.0, 1.75, 3.0]
+        arrays = [np.array(s) for s in sums]
+        assert fs.split_gain(*arrays, hp) == fs.split_gain(*sums, hp)
+        assert [a.item() for a in arrays] == sums
+        assert all(a.shape == () and a.dtype == np.float64 for a in arrays)
+
     # "error" also turns numpy's warning about a where= without out= into a
     # failure: the masked term must be 0, not uninitialised memory.
     @pytest.mark.filterwarnings("error")
@@ -368,6 +380,25 @@ class TestFindBestSplit:
         g = np.array([-1.0, -1, 1, 1])
         with pytest.raises(ValueError, match=r"distinct integer row indices in \[0, 4\)"):
             fs.find_best_split(rows, g, np.ones(4), table, fs.Hyperparams(min_child_weight=0.0))
+
+    @pytest.mark.parametrize("g_length, h_length", [(3, 3), (5, 5), (4, 5)])
+    def test_g_and_h_of_another_length_than_the_table_rejected(self, g_length, h_length):
+        # Unchecked, a longer g and h have their extra entries ignored and a shorter one is indexed past its end.
+        table = make_table(np.array([[0.0], [1.0], [2.0], [3.0]]), [0, 0, 1, 1])
+        g = np.array([-1.0, -1, 1, 1, 1])[:g_length]
+        message = rf"one entry per table row \(4\), got shapes \({g_length},\) and \({h_length},\)"
+        with pytest.raises(ValueError, match=message):
+            fs.find_best_split(np.arange(4), g, np.ones(h_length), table, fs.Hyperparams(min_child_weight=0.0))
+
+    @pytest.mark.parametrize(
+        "hp", [fs.Hyperparams(), fs.Hyperparams(reg_lambda=0.0, reg_alpha=0.5, min_child_weight=0.0)],
+        ids=["default", "lambda0-alpha-mcw0"],
+    )
+    def test_g_and_h_unchanged(self, hp):
+        X, g, h = block_spanning_table(3, 6)
+        g0, h0 = g.copy(), h.copy()
+        assert fs.find_best_split(np.arange(len(g)), g, h, make_table(X, np.arange(len(g)) % 2), hp) is not None
+        assert np.array_equal(g, g0) and np.array_equal(h, h0)
 
     def test_boundary_next_to_nan_is_inadmissible(self):
         # A table refuses non-finite cells, but the search itself must never

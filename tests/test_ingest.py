@@ -1,6 +1,7 @@
 """Tests for CSV loading, preprocessing, splitting, and class weighting."""
 
 import csv
+import hashlib
 import math
 import os
 import tracemalloc
@@ -574,6 +575,21 @@ class TestStratifiedSplit:
             assert combined == ids[:, 0].tolist()
             assert test.features[:, 0].tolist() == test_ids
             assert np.array_equal(test.labels, labels[test_ids])
+
+    @pytest.mark.parametrize("stratified, seed, digest", [
+        (True, -1, "79083e9410c5c92dbdbd83fe655444fdaa9f36589f8f2df433e01c21421e31f4"),
+        (True, 2**64 + 7, "c9cf880f8f8e113c0588fc368bab22380e43cf7f702f3e6df1920ac356d20271"),
+        (False, -1, "3220b40a3e34f9fb245a1f889d1c66a8ea6aed62841b784d4a7a4c1e3cd09777"),
+        (False, 2**64 + 7, "6795407e815ca2aed6cbdc8decb8d588deba24e68266318af8fc7b07cab233c6"),
+    ], ids=["stratified-seed-minus-1", "stratified-seed-2**64+7", "unstratified-seed-minus-1",
+            "unstratified-seed-2**64+7"])
+    def test_large_partition_pinned_for_seeds_outside_64_bits(self, stratified, seed, digest):
+        # 5,000 rows reach large indices in the multiply-shift reduction, and
+        # both seeds are folded mod 2**64; the digests pin the partition.
+        labels = np.arange(5000) * 7 % 13 % 6
+        table = make_table(np.zeros((5000, 1)), labels)
+        train, test = fs.split_rows(table, fs.SplitSpec(train_fraction=0.8, seed=seed, stratified=stratified))
+        assert hashlib.sha256(np.concatenate([train, test]).astype("<i8").tobytes()).hexdigest() == digest
 
     def test_benchmark_proportions(self):
         # The expected per-class train counts follow from the stated rounding
