@@ -27,6 +27,11 @@
 # byte-identical too; and twice more on the 30,000-row input, with
 # `[split] stratified = false` and with `[split] train_fraction = 0.5` (another
 # train/test cut).
+# Last, run `prepare`, `train` (2 rounds) and `explain` on a 50,000-row input,
+# whose nodes of more than 8,192 rows score one feature per split search block,
+# under both trees, and require both tables, the prepare report, `model.json`,
+# the attributions, every ranking and the untimed `train_report.json` to be
+# byte-identical.
 # Every pair is compared even after one differs: each file that differs is
 # named on stderr, and the script exits nonzero at the end if any did.
 #
@@ -167,6 +172,31 @@ for run in "$csv stratified" "$work/crlf.csv stratified" "$work/quoted.csv strat
     done
     echo "30,000-row $split prepare of $(basename "$input"): 3 artifacts compared"
 done
+csv=$(python perfbench/flowgen.py "$work/cache" 50000 1 0 \
+      | python -c "import json, sys; print(json.load(sys.stdin)['path'])")
+for side in new old; do
+    tree=$root
+    [ "$side" = old ] && tree=$other
+    dir=$work/large-$side
+    rm -rf "$dir"
+    printf '[run]\ninput_csv = %s\nseed = 42\noutput_dir = %s\n[hyperparams]\nn_estimators = 2\n' \
+        "$csv" "$dir" > "$dir.ini"
+    for stage in prepare train explain; do
+        PYTHONPATH="$tree/src" python -m flowshap.cli "$stage" --config "$dir.ini"
+    done
+    untimed "$dir/train_report.json" "$dir.train_report"
+done
+large() {
+    (cd "$1" && ls train_table.npz test_table.npz prepare_report.json model.json \
+                   shap_values.csv shap_base_values.json importance_*.csv)
+}
+files=$(large "$work/large-new")
+[ "$files" = "$(large "$work/large-old")" ] || { echo "differs: 50,000-row artifact list" >&2; differ=1; }
+for f in $files; do
+    same "$work/large-new/$f" "$work/large-old/$f"
+done
+same "$work/large-new.train_report" "$work/large-old.train_report"
+echo "50,000-row prepare, train, explain: $(echo "$files" | wc -l) artifacts and the untimed train report compared"
 if [ "$differ" != 0 ]; then
     echo "the files named above differ" >&2
     exit 1

@@ -6,14 +6,14 @@ distinct sorted feature values is scored with the second-order gain
     gain = 1/2 * [ T(GL)^2/(HL+lambda) + T(GR)^2/(HR+lambda)
                    - T(GL+GR)^2/(HL+HR+lambda) ] - gamma
 
-where T is the L1 soft-threshold applied when alpha > 0. ``train`` leaves out
-the columns that are constant over its table, which have no boundary, and
-sorts each other feature once. A node whose hessian sum H has
-H - min_child_weight < min_child_weight is a leaf without a search, since a
-left child with HL >= min_child_weight leaves H - HL below it. Any other node
-scores its features in blocks of SPLIT_BLOCK_ELEMENTS // rows, in four
-block-sized arrays with the cumulative sums taken in place; a side's gain
-terms are a plain division when all its denominators are positive, else 0
+where T(G)^2 = max(|G| - alpha, 0)^2 squares the L1 soft threshold, whose sign
+only a leaf keeps. ``train`` leaves out the columns that are constant over its
+table, which have no boundary, and sorts each other feature once. A node whose
+hessian sum H has H - min_child_weight < min_child_weight is a leaf without a
+search, since a left child with HL >= min_child_weight leaves H - HL below it.
+Any other node scores its features in blocks of SPLIT_BLOCK_ELEMENTS // rows,
+in four block-sized arrays with the cumulative sums taken in place; a side's
+gain terms are a plain division when all its denominators are positive, else 0
 where one is not. The first maximum in feature-major order wins, so ties go to
 the lower feature index, then the lower threshold. The winning feature's sorted
 rows up to the boundary are the left child, and each child keeps the entries of
@@ -105,14 +105,13 @@ class Tree:
         """Leaf values reached by routing each row of X."""
         n = X.shape[0]
         node = np.zeros(n, dtype=np.int32)
-        rows = np.arange(n)
         while True:
             feat = self.feature[node]
             live = np.nonzero(feat >= 0)[0]
             if live.size == 0:
                 break
             at = node[live]
-            goleft = X[rows[live], feat[live]] < self.threshold[at]
+            goleft = X[live, feat[live]] < self.threshold[at]
             node[live] = np.where(goleft, self.left[at], self.right[at])
         return self.value[node]
 
@@ -167,17 +166,12 @@ def softmax_grad_hess(margins, true_class: int, weight: float):
     return g[0], h[0]
 
 
-def _soft_threshold(g, alpha: float):
-    if alpha <= 0:
-        return g
-    return np.sign(g) * np.maximum(np.abs(g) - alpha, 0.0)
-
-
 def _gain_terms(G, H, hp: Hyperparams):
-    """T(G)^2 / (H + lambda), 0 where H + lambda is not positive, written over G and H (a number copied first)."""
+    """max(|G| - alpha, 0)^2 / (H + lambda), 0 where H + lambda is not positive, written over G and H (a number copied first)."""
     G, H = np.asarray(G, dtype=np.float64), np.asarray(H, dtype=np.float64)
-    Gt = _soft_threshold(G, hp.reg_alpha)
-    num = np.multiply(Gt, Gt, out=G)
+    if hp.reg_alpha > 0:
+        np.maximum(np.subtract(np.abs(G, out=G), hp.reg_alpha, out=G), 0.0, out=G)
+    num = np.multiply(G, G, out=G)
     denom = np.add(H, hp.reg_lambda, out=H)
     if denom.min() > 0:  # the masked division's bits, without its mask and zero fill
         return np.divide(num, denom, out=num)
@@ -261,7 +255,7 @@ def find_best_split(node_rows, g, h, table: FlowTable, hp: Hyperparams):
 
 
 def _leaf_value(G: float, H: float, hp: Hyperparams) -> float:
-    Gt = float(_soft_threshold(np.float64(G), hp.reg_alpha))
+    Gt = math.copysign(max(abs(G) - hp.reg_alpha, 0.0), G)  # T(G): the one place its sign is kept
     denom = H + hp.reg_lambda
     if denom <= 0:
         return 0.0
@@ -308,6 +302,7 @@ def train(train_table: FlowTable, hp: Hyperparams) -> TreeEnsemble:
     Gradients are refreshed once per round from the current margins; one
     (round, class) pair that admits no qualifying split still stores its
     single-leaf tree so the round-major/class-minor indexing stays dense.
+    A tree with a non-finite leaf value or cover raises ValueError.
     """
     X = train_table.features
     y = train_table.labels
@@ -323,10 +318,15 @@ def train(train_table: FlowTable, hp: Hyperparams) -> TreeEnsemble:
     order = np.argsort(XT, axis=1, kind="stable")  # the one sort of this call
     margins = np.full((n, K), hp.base_score, dtype=np.float64)
     trees: list[Tree] = []
-    for _ in range(hp.n_estimators):
+    for r in range(hp.n_estimators):
         g, h = (a.T.copy() for a in _grad_hess_matrix(margins, y, w))  # one row per class
         for k in range(K):
             tree, fitted = _grow_tree(XT, order, g[k], h[k], hp)
+            bad = np.flatnonzero(~(np.isfinite(tree.value) & np.isfinite(tree.cover)))
+            if bad.size:  # e.g. a gradient sum over a subnormal hessian sum under lambda = 0
+                i = bad[0]
+                raise ValueError(f"round {r}, class {k} ({train_table.class_names[k]}), node {i}: leaf value "
+                                 f"{float(tree.value[i])}, cover {float(tree.cover[i])}; a model holds finite numbers only")
             split = tree.feature >= 0
             tree.feature[split] = feats[tree.feature[split]]
             trees.append(tree)

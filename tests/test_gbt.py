@@ -2,12 +2,13 @@
 
 import functools
 import json
+import re
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import flowshap as fs
@@ -189,11 +190,13 @@ class TestSplitGain:
 
 
 def block_spanning_table(seed, signal, width=5, m=13):
-    """Integer-valued X, g and h whose root spans three feature blocks.
+    """Integer-valued X, g and h whose root spans several feature blocks:
+    three of five features at the default width, thirteen of one at width 1.
 
     Columns 0 and 7 are constant; column 5 repeats column 4 and column 10
     repeats column 9, each pair straddling a block boundary, and column 2
-    repeats column 1 inside the first block. g leans on column ``signal``.
+    repeats column 1, inside the first block at the default width. g leans on
+    column ``signal``.
     """
     rng = np.random.default_rng(seed)
     n = gbt.SPLIT_BLOCK_ELEMENTS // width
@@ -257,29 +260,33 @@ class TestFindBestSplit:
         assert fs.find_best_split(np.arange(6), g, h, table, fs.Hyperparams()) is None
 
     @pytest.mark.parametrize(
-        "seed, signal, hp, hessians",
+        "seed, signal, hp, hessians, width",
         [
-            (None, None, fs.Hyperparams(), None),
-            (0, 4, fs.Hyperparams(), None),
-            (1, 9, fs.Hyperparams(min_child_weight=0.0), None),
-            (2, 4, fs.Hyperparams(min_child_weight=700.0, gamma=2.0), None),
-            (3, 9, fs.Hyperparams(min_child_weight=5.0, gamma=1.0, reg_alpha=1.5), None),
-            pytest.param(4, 4, fs.Hyperparams(reg_lambda=0.0, min_child_weight=0.0), None,
+            (None, None, fs.Hyperparams(), None, None),
+            (0, 4, fs.Hyperparams(), None, 5),
+            (1, 9, fs.Hyperparams(min_child_weight=0.0), None, 5),
+            (2, 4, fs.Hyperparams(min_child_weight=700.0, gamma=2.0), None, 5),
+            (3, 9, fs.Hyperparams(min_child_weight=5.0, gamma=1.0, reg_alpha=1.5), None, 5),
+            pytest.param(4, 4, fs.Hyperparams(reg_lambda=0.0, min_child_weight=0.0), None, 5,
                          marks=pytest.mark.filterwarnings("error")),  # zero-hessian children
             # the masked division: non-positive denominators on both sides of one
             # block, and admissible zero ones; then alpha without the gamma pass
-            pytest.param(5, 4, fs.Hyperparams(min_child_weight=0.0), negative_hessians,
+            pytest.param(5, 4, fs.Hyperparams(min_child_weight=0.0), negative_hessians, 5,
                          marks=pytest.mark.filterwarnings("error")),
-            pytest.param(6, 3, fs.Hyperparams(reg_lambda=0.0, min_child_weight=0.0), zero_hessian_ends,
+            pytest.param(6, 3, fs.Hyperparams(reg_lambda=0.0, min_child_weight=0.0), zero_hessian_ends, 5,
                          marks=pytest.mark.filterwarnings("error")),
-            pytest.param(7, 9, fs.Hyperparams(gamma=0.0, reg_alpha=1.5), None,
+            pytest.param(7, 9, fs.Hyperparams(gamma=0.0, reg_alpha=1.5), None, 5,
+                         marks=pytest.mark.filterwarnings("error")),
+            # 16,384 rows: every block holds one feature
+            (8, 9, fs.Hyperparams(min_child_weight=5.0, gamma=1.0, reg_alpha=1.5), None, 1),
+            pytest.param(9, 3, fs.Hyperparams(reg_lambda=0.0, min_child_weight=0.0), zero_hessian_ends, 1,
                          marks=pytest.mark.filterwarnings("error")),
         ],
         ids=["hand", "blocks-default", "blocks-mcw0", "blocks-mcw700-gamma", "blocks-alpha",
              "blocks-lambda0-mcw0", "blocks-negative-hessians", "blocks-lambda0-zero-hessian-ends",
-             "blocks-alpha-gamma0"],
+             "blocks-alpha-gamma0", "one-feature-blocks-alpha", "one-feature-blocks-lambda0-zero-hessian-ends"],
     )
-    def test_perfect_separation_matches_enumeration(self, seed, signal, hp, hessians):
+    def test_perfect_separation_matches_enumeration(self, seed, signal, hp, hessians, width):
         if seed is None:
             X = np.zeros((8, 3))
             X[:, 1] = [0, 0, 0, 0, 1, 1, 1, 1]
@@ -287,7 +294,7 @@ class TestFindBestSplit:
             g = np.array([-1.0] * 4 + [1.0] * 4)
             h = np.ones(8)
         else:
-            X, g, h = block_spanning_table(seed, signal)
+            X, g, h = block_spanning_table(seed, signal, width)
             if hessians is not None:
                 h = hessians(X, h)
         table = make_table(X, np.arange(len(g)) % 2)
@@ -410,10 +417,13 @@ class TestFindBestSplit:
         best = gbt._best_split(XT, np.argsort(XT, axis=1, kind="stable"), g, h, 4.0, 4.0, hp)
         assert best == (0, 1.5, fs.split_gain(0.0, 2.0, 4.0, 2.0, hp), 1)
 
-    def test_one_block_peaks_below_six_and_a_half_block_arrays(self):
+    @pytest.mark.parametrize("hp", [fs.Hyperparams(), fs.Hyperparams(reg_alpha=0.5, gamma=0.25)],
+                             ids=["default", "alpha-gamma"])
+    def test_one_block_peaks_below_six_and_a_half_block_arrays(self, hp):
         # A block of 13 features x 1,260 rows fills SPLIT_BLOCK_ELEMENTS; its
         # search holds four arrays of that size at once, 9 before the block's
-        # temporaries were reused.
+        # temporaries were reused. Under alpha the gain terms still write over
+        # their sums, since max(|G| - alpha, 0)^2 needs no sign.
         rng = np.random.default_rng(9)
         XT = rng.integers(0, 50, size=(13, 1260)).astype(np.float64)
         idx = np.argsort(XT, axis=1, kind="stable")
@@ -421,12 +431,29 @@ class TestFindBestSplit:
         assert gbt.SPLIT_BLOCK_ELEMENTS // 1260 >= 13
         tracemalloc.start()
         try:
-            best = gbt._best_split(XT, idx, g, h, float(g.sum()), float(h.sum()), fs.Hyperparams())
+            best = gbt._best_split(XT, idx, g, h, float(g.sum()), float(h.sum()), hp)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert best is not None
         assert peak < 6.5 * XT.nbytes
+
+
+def extreme_weight_fit(rng):
+    """A small integer table with weights of 1 or 1e6, and hyperparameters
+    under which a node's hessian sum can be subnormal: learning rate 1,
+    lambda = 0 and min_child_weight = 0."""
+    n, m, K = rng.integers(6, 41), rng.integers(1, 5), rng.integers(2, 4)
+    X = rng.integers(0, 5, (n, m)).astype(np.float64)
+    y = rng.integers(0, K, n)
+    weights = np.where(rng.random(n) < 0.5, 1.0, 1e6)
+    hp = fs.Hyperparams(n_estimators=int(rng.integers(5, 40)), max_depth=int(rng.integers(1, 5)),
+                        learning_rate=1.0, reg_lambda=0.0, min_child_weight=0.0)
+    return make_table(X, y, n_classes=int(K), weights=weights), hp
+
+
+NON_FINITE_TREE = (r"^round \d+, class \d+ \(c\d\), node \d+: leaf value (-?inf|nan), cover \S+;"
+                   r" a model holds finite numbers only$")
 
 
 class TestTrain:
@@ -555,12 +582,13 @@ class TestTrain:
             on_threshold |= bool(np.isin(tree.threshold[split], X).any())
         assert on_threshold == on_thresholds
 
+    @pytest.mark.parametrize("width", [5, 1], ids=["blocks", "one-feature-blocks"])
     @pytest.mark.parametrize("min_child_weight", [0.0, 1.0])
-    def test_grown_splits_equal_find_best_split(self, min_child_weight):
+    def test_grown_splits_equal_find_best_split(self, min_child_weight, width):
         # each node's rows, filtered from the one presort of the table, must
         # split exactly as the node's own stable sort does; two classes and
         # unit weights make every gradient sum exact, so gain ties are real
-        X, signal_g, _ = block_spanning_table(5, 4)
+        X, signal_g, _ = block_spanning_table(5, 4, width)
         table = make_table(X, (signal_g > 0).astype(int))
         hp = fs.Hyperparams(n_estimators=1, min_child_weight=min_child_weight)
         ens = fs.train(table, hp)
@@ -628,6 +656,34 @@ class TestTrain:
             reached = np.bincount(node_ids.predict(X).astype(int), minlength=tree.n_nodes)
             single_row_leaves += int((reached == 1).sum())
         assert single_row_leaves > 0
+
+    def test_non_finite_leaf_is_refused(self):
+        # A leaf whose hessian sum is subnormal (1.7e-309) divides its gradient
+        # sum to -inf; an ensemble holding it still predicts classes, so only
+        # train can tell its caller.
+        table, hp = extreme_weight_fit(np.random.default_rng(179))
+        assert (table.n_rows, len(table.feature_names), len(table.class_names)) == (40, 4, 2)
+        assert (hp.n_estimators, hp.max_depth) == (35, 2)
+        message = r"^round 8, class 0 \(c0\), node 5: leaf value -inf, cover 1\.71867591282583e-309;"
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"), pytest.raises(ValueError, match=message):
+            fs.train(table, hp)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    @example(179)  # a refused fit
+    @example(23)  # one class drawn
+    def test_extreme_weights_train_finite_trees_or_raise(self, seed):
+        table, hp = extreme_weight_fit(np.random.default_rng(seed))
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            try:
+                ens = fs.train(table, hp)
+            except ValueError as exc:
+                one_class = table.labels.min() == table.labels.max()
+                assert re.match("^training requires at least 2 classes present$" if one_class else NON_FINITE_TREE,
+                                str(exc))
+                return
+        for tree in ens.trees:
+            assert np.isfinite(tree.value).all() and np.isfinite(tree.cover).all()
 
     def test_gamma_monotone_pruning(self):
         table = separable_table(n=90, seed=8)
