@@ -8,6 +8,10 @@
 # `effective_config.ini` too once its `output_dir` line is removed, and
 # `train_report.json` and `select_report.json` (the macro F1 of the full and
 # the reduced model) once their `timing` blocks of wall-clock seconds are removed.
+# Then run this tree's validation-scope `pipeline --compare` again under
+# `taskset -c 0`, where `select` fits the filter methods in its own process
+# rather than a forked child, and require the same files to match the other
+# tree's.
 # Then run `prepare`, `train` and `select` (no `explain`, validation scope) on
 # that input under both trees and require `selection_shap.json` and
 # `model_selected.json` to be byte-identical.
@@ -84,6 +88,20 @@ for scope in validation test; do
     done
     echo "$scope scope: $(echo "$files" | wc -l) artifacts, the config record and 2 reports without timing compared"
 done
+dir=$work/one-cpu-new
+rm -rf "$dir"
+PYTHONPATH="$root/src" taskset -c 0 python -m flowshap.cli pipeline --compare --config "$work/validation-new.ini" \
+    --output-dir "$dir"
+files=$(artifacts "$dir")
+[ "$files" = "$(artifacts "$work/validation-old")" ] || { echo "differs: one-CPU artifact list" >&2; differ=1; }
+for f in $files; do
+    same "$dir/$f" "$work/validation-old/$f"
+done
+for report in train_report select_report; do
+    untimed "$dir/$report.json" "$dir.$report"
+    same "$dir.$report" "$work/validation-old.$report"
+done
+echo "one-CPU validation scope: $(echo "$files" | wc -l) artifacts and 2 reports without timing compared"
 for side in new old; do
     tree=$root
     [ "$side" = old ] && tree=$other

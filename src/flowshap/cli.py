@@ -3,7 +3,8 @@
 Every stage reads and writes files under the configured output directory,
 echoes the effective configuration, and is deterministic for a fixed seed
 (wall-clock timing fields aside). It deletes its report when it starts and ends
-in ``_finish``: the config record, then the report, each written whole.
+in ``_finish``: the config record, then the report, each written whole. On two
+CPUs, ``select --compare`` fits the filter baselines in a forked child, same bytes.
 """
 
 import argparse
@@ -11,6 +12,7 @@ import csv
 import json
 import os
 import sys
+from contextlib import nullcontext
 from dataclasses import astuple, replace
 from pathlib import Path
 
@@ -214,20 +216,24 @@ def cmd_select(cfg: RunConfig, compare: bool = False) -> dict:
     train_t, test_t = _load_tables(out)
     if (compare or cfg.method != "shap") and cfg.k_for_filters > train_t.n_features:  # a filter method runs
         raise ValueError(f"k_for_filters = {cfg.k_for_filters} exceeds the {train_t.n_features} features")
-    rows = []
-    for method in SELECTION_METHODS if compare else [cfg.method]:
-        result = _run_method(cfg, method, out, train_t, test_t)
-        _write_json(selection.selection_to_dict(result), out / _selection_file(method))
-        if result.fit is None:
-            doc, macro = {"note": "no features selected"}, metrics.Averages(0.0, 0.0, 0.0)
-        else:
-            ens, report = result.fit
-            doc, macro = metrics.report_to_dict(report), report.macro
+    methods, rows = SELECTION_METHODS if compare else (cfg.method,), []
+    def run(method):
+        return _run_method(cfg, method, out, train_t, test_t)
+    rest = methods[1:]  # under compare, the filter methods: they do not read shap's fit, so a child may make them
+    with ingest.forked(run, rest) if rest and ingest.schedulable_cpus() > 1 else nullcontext(map(run, rest)) as filtered:
+        for method in methods:
+            result = next(filtered) if method in rest else run(method)
+            _write_json(selection.selection_to_dict(result), out / _selection_file(method))
+            if result.fit is None:
+                doc, macro = {"note": "no features selected"}, metrics.Averages(0.0, 0.0, 0.0)
+            else:
+                ens, report = result.fit
+                doc, macro = metrics.report_to_dict(report), report.macro
+                if method == cfg.method:
+                    gbt.save_model(ens, out / SELECTED_MODEL)
             if method == cfg.method:
-                gbt.save_model(ens, out / SELECTED_MODEL)
-        if method == cfg.method:
-            primary_report = {**doc, "selected_features": list(result.selected)}
-        rows.append([method, ";".join(result.selected), *map(repr, astuple(macro))])
+                primary_report = {**doc, "selected_features": list(result.selected)}
+            rows.append([method, ";".join(result.selected), *map(repr, astuple(macro))])
     if compare:
         with open(out / COMPARISON, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)

@@ -23,6 +23,7 @@ values are -T(G)/(H+lambda) times the learning rate. Training is deterministic.
 
 import json
 import math
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -385,7 +386,7 @@ def _checked(value, kind: type, what: str):
     number for a float), else ModelFormatError."""
     if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
         raise ModelFormatError(f"{what} must be a JSON {kind.__name__}, got {value!r}")
-    if kind is float and not math.isfinite(value):  # json reads 1e999 as inf
+    if kind is float and not abs(value) <= sys.float_info.max:  # json reads 1e999 as inf, 10**400 as an int
         raise ModelFormatError(f"{what} must be finite, got {value!r}")
     return kind(value)
 
@@ -491,7 +492,7 @@ def deserialize(data: bytes) -> TreeEnsemble:
             data.decode("utf-8") if isinstance(data, (bytes, bytearray)) else data,
             parse_constant=_reject_constant,
         )
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, a bad UTF-8 byte, or an integer past str-to-int's digit limit
         raise ModelFormatError(f"malformed model document: {exc}") from exc
     if not isinstance(doc, dict):
         raise ModelFormatError("model document must be an object")

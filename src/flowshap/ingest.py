@@ -18,7 +18,7 @@ import os
 import pickle
 import signal
 import zipfile
-from contextlib import ExitStack
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, replace
 from itertools import chain, compress, islice, zip_longest
 from operator import itemgetter
@@ -175,13 +175,49 @@ def _read_rows(path, start=0, lines=None, width=None, line0=0):
             yield row
 
 
+def schedulable_cpus() -> int:
+    """The CPUs this process may run on: ``os.sched_getaffinity(0)`` where it exists, else 1."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+@contextmanager
+def forked(func, *iterables):
+    """``map(func, *iterables)`` made in a forked child up to the first call that raises. Yields an iterator that
+    reads the results from a pipe at its first ``next`` and raises that exception in its place."""
+    def unpickled(pipe):
+        for item in pickle.load(pipe):
+            if isinstance(item, BaseException):
+                raise item
+            yield item
+    r, w = os.pipe()
+    if (pid := os.fork()) == 0:
+        try:  # a child never returns into the caller, nor flushes its buffers
+            results = []
+            try:
+                for result in map(func, *iterables):
+                    results.append(result)
+            except BaseException as exc:
+                results.append(exc)
+            with open(w, "wb") as pipe:
+                pickle.dump(results, pipe, pickle.HIGHEST_PROTOCOL)
+        finally:
+            os._exit(0)
+    os.close(w)
+    try:  # the child is killed and reaped on every path
+        with open(r, "rb") as pipe:
+            yield unpickled(pipe)
+    finally:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+
+
 def _byte_ranges(path) -> tuple[int, list]:
     """A bound on the rows (the lines, a carriage return counted as a line end too), and [start byte,
     line count (None: to EOF), lines before] of each range to parse, cut after newlines, at most one
     per CPU and ``MIN_RANGE_BYTES``; one if the CPU count is unknown, a field may span lines (a
     quote) or lines would count differently (a lone carriage return)."""
     size = os.path.getsize(path)
-    parts = min(len(os.sched_getaffinity(0)), size // MIN_RANGE_BYTES) if hasattr(os, "sched_getaffinity") else 1
+    parts = min(schedulable_cpus(), size // MIN_RANGE_BYTES)
     ranges, lines, returns = [[0, None, 0]], 0, 0
     with open(path, "rb") as fh:
         while block := fh.read(min(MIN_RANGE_BYTES >> 4, size)) + fh.readline():
@@ -295,27 +331,10 @@ def _parse_table(read, drop_columns, label_column: str, bound: int, ranges=((0, 
             has_text |= is_text[keep].any(axis=0)
             codes += [seen.setdefault(row[label_idx].strip(), len(seen)) for row in compress(chunk, keep)]
         return keeps, has_text, codes, [*seen]
-    with ExitStack() as children:  # reaps every child on exit: closes its pipe, kills it, waits
-        pipes = []
-        for start, lines, line0 in ranges[1:]:
-            r, w = os.pipe()
-            if (pid := os.fork()) == 0:
-                try:  # a child never returns into the caller, nor flushes its buffers
-                    with open(w, "wb") as pipe:
-                        try:
-                            part = parse(_read_rows(path, start, lines, len(names), line0), line0)
-                        except BaseException as exc:
-                            part = exc
-                        pickle.dump(part, pipe, pickle.HIGHEST_PROTOCOL)
-                finally:
-                    os._exit(0)
-            children.callback(os.waitpid, pid, 0)
-            children.callback(os.kill, pid, signal.SIGKILL)
-            pipes.append(children.enter_context(open(r, "rb")))
-            os.close(w)
-        parts = [parse(rows, 0), *map(pickle.load, pipes)]
-    for error in (part for part in parts if isinstance(part, BaseException)):
-        raise error
+    with ExitStack() as children:
+        lanes = [children.enter_context(forked(parse, [_read_rows(path, start, lines, len(names), line0)], [line0]))
+                 for start, lines, line0 in ranges[1:]]
+        parts = [parse(rows, 0), *map(next, lanes)]
     keeps, has_text, label_codes, label_texts = zip(*parts)
     kept_rows = np.concatenate([line0 + np.arange(len(part)) for (_, _, line0), part in zip(ranges, label_codes)])
     class_names = sorted(set(chain(*label_texts)))

@@ -325,6 +325,81 @@ class TestSelect:
         assert "np.float64(" not in Path(cfg.output_dir, cli.COMPARISON).read_text(encoding="utf-8")
 
 
+class TestForkedCompare:
+    """With two CPUs, ``select --compare`` fits the filter methods in a forked child beside the
+    forward pass; with one, or one method, it forks nothing. Either way the bytes are the serial ones."""
+
+    @staticmethod
+    def cpus(monkeypatch, count):
+        """Make ``count`` CPUs schedulable and return the list of ``os.fork`` calls made from here on."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid()) or fork())
+        return forks
+
+    @staticmethod
+    def explained(prepared):
+        cfg, _, tmp_path = prepared
+        cli.cmd_train(cfg)
+        cli.cmd_explain(cfg)
+        return cfg, Path(cfg.output_dir), tmp_path
+
+    def test_select_files_do_not_depend_on_the_cpu_count(self, prepared, monkeypatch):
+        cfg, out, tmp_path = self.explained(prepared)
+        runs = {}
+        for count, fork_calls in ((1, 0), (2, 1)):
+            run = tmp_path / f"cpus-{count}"
+            shutil.copytree(out, run)
+            forks = self.cpus(monkeypatch, count)
+            cli.cmd_select(replace(cfg, output_dir=str(run), k_for_filters=5), compare=True)
+            assert len(forks) == fork_calls
+            report = read_json(run / cli.SELECT_REPORT)
+            report.pop("timing")
+            runs[count] = report, {name: (run / name).read_bytes() for name in
+                                   [*map(cli._selection_file, cli.SELECTION_METHODS), cli.COMPARISON, cli.SELECTED_MODEL]}
+        assert runs[1] == runs[2]
+
+    def test_one_cpu_or_one_method_never_forks(self, prepared, monkeypatch):
+        cfg, _, _ = self.explained(prepared)
+        forks = self.cpus(monkeypatch, 1)
+        cli.cmd_select(cfg, compare=True)
+        assert forks == []
+        forks = self.cpus(monkeypatch, 2)
+        cli.cmd_select(cfg)
+        cli.cmd_select(replace(cfg, method="anova"))
+        assert forks == []
+
+    def test_a_filter_error_in_the_child_is_the_serial_error(self, prepared, monkeypatch, capsys):
+        cfg, out, tmp_path = self.explained(prepared)
+        config = tmp_path / "run.ini"
+        write_config_file(cfg, config)
+
+        def refused(table):
+            raise fs.SchemaError("chi-square refused this table")
+
+        monkeypatch.setitem(fs.selection.FILTER_SCORERS, "chi_square", refused)
+        runs = {}
+        for count in (1, 2):
+            forks = self.cpus(monkeypatch, count)
+            assert cli.main(["select", "--config", str(config), "--compare"]) == 1
+            assert len(forks) == count - 1
+            runs[count] = capsys.readouterr().err, sorted(path.name for path in out.glob("selection_*.json"))
+        assert runs[1] == runs[2]
+        err, written = runs[2]
+        assert json.loads(err) == {"error": "SchemaError", "message": "chi-square refused this table"}
+        assert written == ["selection_correlation.json", "selection_shap.json"]
+
+    def test_a_shap_error_leaves_no_child(self, prepared, monkeypatch):
+        cfg, _, _ = self.explained(prepared)
+        forks = self.cpus(monkeypatch, 2)
+        monkeypatch.setattr(fs.selection, "forward_select", stop)
+        with pytest.raises(KeyboardInterrupt):
+            cli.cmd_select(cfg, compare=True)
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
 class TestPipeline:
     def test_end_to_end_artifacts(self, prepared):
         cfg, _, _ = prepared

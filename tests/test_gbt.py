@@ -941,6 +941,21 @@ class TestSerialization:
         with pytest.raises(fs.ModelFormatError, match=f"{field} must be finite"):
             fs.deserialize(text.encode())
 
+    @pytest.mark.parametrize("field", ["base_score", "threshold", "cover", "learning_rate"])
+    def test_integer_literal_past_float_range_rejected(self, field):
+        # json reads a 400-digit integer as an int, which float() cannot hold
+        doc = json.loads(fs.serialize(stump_ensemble()))
+        holder = {"base_score": doc, "learning_rate": doc["hyperparams"]}.get(field, doc["trees"][0]["nodes"][0])
+        holder[field] = 10**400
+        with pytest.raises(fs.ModelFormatError, match=f"{field} must be finite"):
+            fs.deserialize(json.dumps(doc).encode())
+
+    @pytest.mark.parametrize("data", [b'{"format_version": ' + b"9" * 5000 + b"}", b'{"format_version": 1\xff}'],
+                             ids=["past-the-int-digit-limit", "not-utf-8"])
+    def test_undecodable_document_rejected(self, data):
+        with pytest.raises(fs.ModelFormatError, match="malformed model document"):
+            fs.deserialize(data)
+
     @pytest.mark.parametrize("classes", [[], ["only"], ["a", "b", "c"]])
     def test_tree_count_must_match_rounds_and_classes(self, classes):
         doc = json.loads(fs.serialize(stump_ensemble()))  # 1 round, 2 classes

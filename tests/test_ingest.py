@@ -431,6 +431,25 @@ class TestRangedParse:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    def test_two_ranges_fork_through_the_helper(self, tmp_path, monkeypatch):
+        lines = _lines(90)
+        path = _write(tmp_path / "flows.csv", "\n".join(lines) + "\n")
+        calls, forked = [], fs.ingest.forked
+        monkeypatch.setattr(fs.ingest, "forked", lambda func, *args: calls.append(args[-1]) or forked(func, *args))
+        saved = []
+        for cpus in (1, 2):
+            count, (table, _) = self.ranged(monkeypatch, path, cpus)
+            assert (count, calls) == (cpus, [[line0] for _, _, line0 in fs.ingest._byte_ranges(path)[1][1:]])
+            fs.save_table(table, tmp_path / f"{cpus}.npz")
+            saved.append((tmp_path / f"{cpus}.npz").read_bytes())
+        assert saved[0] == saved[1]
+        lines[70] = "1,2"  # in the second of two ranges
+        _write(path, "\n".join(lines) + "\n")
+        with pytest.raises(fs.ParseError, match="line 71:"):
+            self.ranged(monkeypatch, path, 2)
+        assert len(calls) == 2
+        assert fs.ingest._byte_ranges(path)[1][1][0] < path.read_bytes().index(b"\n1,2\n")
+
     def test_interrupt_in_the_first_range_leaves_no_child(self, tmp_path, monkeypatch):
         path = _write(tmp_path / "flows.csv", "\n".join(_lines(90)) + "\n")
         parent, parse_column = os.getpid(), fs.ingest._parse_column
