@@ -302,10 +302,7 @@ def main(argv=None) -> int:
         cfg = build_config(args)
         args.run(cfg, **({"compare": args.compare} if "compare" in args else {}))
     except Exception as exc:  # single structured diagnostic line, nonzero exit
-        print(
-            json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-            file=sys.stderr,
-        )
+        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return 1
     return 0
 

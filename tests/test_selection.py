@@ -237,8 +237,8 @@ class TestCorrelationScores:
 
 class TestFitStageImports:
     def test_training_and_scoring_leave_numpy_ma_unloaded(self):
-        # np.unique imports numpy.ma (about 1.3 MB) on its first call; train
-        # and select need no module that prepare and explain do not load.
+        # A plain np.unique imports numpy.ma (about 1.3 MB) on its first call; train,
+        # explain and select need no module that prepare does not load.
         script = (
             "import sys, numpy as np, flowshap as fs\n"
             "rng = np.random.default_rng(8)\n"
@@ -247,7 +247,7 @@ class TestFitStageImports:
             "table = fs.FlowTable(['a', 'b', 'c', 'd'], X, y, ['x', 'y', 'z'], np.ones(120))\n"
             "train, test = fs.stratified_split(table, fs.SplitSpec(train_fraction=0.75, seed=1))\n"
             "hp = fs.Hyperparams(n_estimators=2, max_depth=2)\n"
-            "fs.train(train, hp)\n"
+            "fs.global_importance(fs.tree_shap(fs.train(train, hp), test))\n"
             "ranking = fs.ImportanceRanking(entries=[(f, 1.0) for f in table.feature_names], scope='global')\n"
             "assert fs.forward_select(ranking, train, test, hp).trace\n"
             "for score in (fs.correlation_scores, fs.chi_square_scores, fs.anova_scores):\n"
