@@ -89,6 +89,15 @@ compare direct-new direct-old 'selection_shap.json model_selected.json'
 # A full forward pass over all 77 candidates, through the late trials that the 16-candidate runs never reach.
 pair full-pass "$csv" '[hyperparams]\nn_estimators = 4\n[selection]\nevaluation_scope = validation' 'pipeline --compare'
 compare full-pass-new full-pass-old 'selection_shap.json model_selected.json select_report.json'
+# Every key set away from its default: a custom drop list, an unstratified 70/30 split,
+# a filter method as the primary model, and a forward pass that patience stops.
+every_key='label_column = Stage\ndrop_columns = Flow ID, Src IP, Src Port, Dst IP, Dst Port, Timestamp, Protocol
+[split]\ntrain_fraction = 0.7\nstratified = false
+[hyperparams]\nn_estimators = 3\nlearning_rate = 0.2\nmax_depth = 4\nmin_child_weight = 0.5
+gamma = 0.1\nlambda = 2.0\nalpha = 0.25\nbase_score = 0.3
+[selection]\nmethod = anova\nk_for_filters = 8\nmax_candidates = 20\npatience = 4\n[explain]\nrows = train'
+pair every-key "$csv" "$every_key" 'pipeline --compare'
+compare every-key-new every-key-old "$pipeline effective_config.ini"
 # explain of the train rows rather than the test split.
 pair train-rows "$csv" '[hyperparams]\nn_estimators = 4\n[explain]\nrows = train' prepare train explain
 compare train-rows-new train-rows-old "$explained"

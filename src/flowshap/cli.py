@@ -188,8 +188,8 @@ def _run_method(cfg: RunConfig, method: str, out: Path, train_t, test_t) -> sele
     if method == "shap":
         if not _done(out, "explain"):  # the ranking is explain's: explain runs first
             cmd_explain(cfg)
-        # Test scope scores candidate subsets on the final tables, validation
-        # scope on a carve-out of the train table.
+        # Test scope scores candidate subsets on the final tables, so the pass's
+        # own fit is the reduced model; validation scope on a carve-out of the train table.
         test_scope = cfg.evaluation_scope == "test"
         sel_train, eval_t = ((train_t, test_t) if test_scope
                              else ingest.stratified_split(train_t, cfg.carve_spec()))
@@ -198,12 +198,14 @@ def _run_method(cfg: RunConfig, method: str, out: Path, train_t, test_t) -> sele
             max_candidates=cfg.max_candidates, patience=cfg.patience,
             evaluation_scope=cfg.evaluation_scope,
         )
-        if not test_scope and result.selected:
-            selected = result.selected
-            result.fit = metrics.fit_and_evaluate(train_t.restrict(selected), test_t.restrict(selected), hp)
-        return result
-    selected = selection.filter_select(selection.FILTER_SCORERS[method](train_t), cfg.k_for_filters)
+        if test_scope or not result.selected:
+            return result
+        selected = result.selected
+    else:
+        selected = selection.filter_select(selection.FILTER_SCORERS[method](train_t), cfg.k_for_filters)
     fit = metrics.fit_and_evaluate(train_t.restrict(selected), test_t.restrict(selected), hp)
+    if method == "shap":
+        return replace(result, fit=fit)
     return selection.SelectionResult(trace=[], selected=selected, f1_best=fit[1].macro.f1,
                                      evaluation_scope="test", method=method, fit=fit)
 
@@ -258,8 +260,13 @@ def cmd_pipeline(cfg: RunConfig, compare: bool = False) -> None:
         cmd_select(cfg, compare=compare)
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error, which main reports as one JSON line
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="flowshap",
         description="Boosted-tree flow classification with Shapley-ranked feature selection",
     )
@@ -297,8 +304,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         cfg = build_config(args)
         args.run(cfg, **({"compare": args.compare} if "compare" in args else {}))
     except Exception as exc:  # single structured diagnostic line, nonzero exit

@@ -2,13 +2,14 @@
 
 Precedence is flags over config file over defaults. A single master seed
 drives every stage; stage seeds are derived at fixed offsets so each stage
-is independently reproducible. ``SCHEMA`` is the one description of the INI
-file: reading it, writing it and parsing the flags are all derived from it.
+is independently reproducible. Each RunConfig field declares one INI key, its
+default and allowed values, and its type picks the codec; ``SCHEMA``, derived
+from the fields, is what reading, writing and parsing the flags all use.
 """
 
 import configparser
 import csv
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from types import SimpleNamespace
 
 from .gbt import HYPERPARAM_KEYS, Hyperparams
@@ -24,37 +25,44 @@ VALIDATION_CARVE_FRACTION = 0.75  # selection trains on 75% of train, scores on 
 SELECTION_METHODS = ("shap", *FILTER_SCORERS)
 
 
+def _key(section, default, key=None, choices=None):
+    """A field held as ``[section] key`` (its own name unless given), limited to ``choices``."""
+    return field(default=default, metadata={"section": section, "key": key, "choices": choices})
+
+
+def _tuned(name):
+    """A [hyperparams] key: a Hyperparams field under its model document's name."""
+    return _key("hyperparams", getattr(Hyperparams, name), HYPERPARAM_KEYS[name])
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    input_csv: str | None = None
-    label_column: str = DEFAULT_LABEL_COLUMN
-    drop_columns: tuple = DEFAULT_DROP_COLUMNS
-    seed: int = 0
-    output_dir: str = "out"
-    train_fraction: float = SplitSpec.train_fraction
-    stratified: bool = SplitSpec.stratified
-    n_estimators: int = Hyperparams.n_estimators
-    learning_rate: float = Hyperparams.learning_rate
-    max_depth: int = Hyperparams.max_depth
-    min_child_weight: float = Hyperparams.min_child_weight
-    gamma: float = Hyperparams.gamma
-    reg_lambda: float = Hyperparams.reg_lambda
-    reg_alpha: float = Hyperparams.reg_alpha
-    base_score: float = Hyperparams.base_score
-    method: str = "shap"
-    k_for_filters: int = 12
-    max_candidates: int | None = None
-    patience: int | None = None
-    evaluation_scope: str = "validation"
-    explain_rows: str = "test"
+    input_csv: str | None = _key("run", None)
+    label_column: str = _key("run", DEFAULT_LABEL_COLUMN)
+    drop_columns: tuple = _key("run", DEFAULT_DROP_COLUMNS)
+    seed: int = _key("run", 0)
+    output_dir: str = _key("run", "out")
+    train_fraction: float = _key("split", SplitSpec.train_fraction)
+    stratified: bool = _key("split", SplitSpec.stratified)
+    n_estimators: int = _tuned("n_estimators")
+    learning_rate: float = _tuned("learning_rate")
+    max_depth: int = _tuned("max_depth")
+    min_child_weight: float = _tuned("min_child_weight")
+    gamma: float = _tuned("gamma")
+    reg_lambda: float = _tuned("reg_lambda")
+    reg_alpha: float = _tuned("reg_alpha")
+    base_score: float = _tuned("base_score")
+    method: str = _key("selection", "shap", choices=SELECTION_METHODS)
+    k_for_filters: int = _key("selection", 12)
+    max_candidates: int | None = _key("selection", None)
+    patience: int | None = _key("selection", None)
+    evaluation_scope: str = _key("selection", "validation", choices=("validation", "test"))
+    explain_rows: str = _key("explain", "test", "rows", ("test", "train"))
 
     def __post_init__(self):
-        if self.method not in SELECTION_METHODS:
-            raise ValueError(f"method must be one of {SELECTION_METHODS}")
-        if self.evaluation_scope not in ("validation", "test"):
-            raise ValueError("evaluation_scope must be 'validation' or 'test'")
-        if self.explain_rows not in ("test", "train"):
-            raise ValueError("explain rows must be 'test' or 'train'")
+        for f in fields(self):
+            if (choices := f.metadata["choices"]) and getattr(self, f.name) not in choices:
+                raise ValueError(f"{f.name} must be one of {choices}")
         if self.k_for_filters < 1:
             raise ValueError("k_for_filters must be at least 1")
         check_pass_limits(self.max_candidates, self.patience)
@@ -76,8 +84,7 @@ class RunConfig:
         )
 
     def hyperparams(self) -> Hyperparams:
-        tuned = {field: getattr(self, field) for section, _, field, _, _ in SCHEMA
-                 if section == "hyperparams"}
+        tuned = {f.name: getattr(self, f.name) for f in fields(self) if f.metadata["section"] == "hyperparams"}
         return Hyperparams(**tuned, seed=self.seed + SEED_OFFSET_TRAIN)
 
 
@@ -101,6 +108,8 @@ def _parse_bool(text: str) -> bool:
 
 
 def _parse_names(text: str) -> tuple:
+    if "\n" in text:
+        raise ValueError("the names must be on one line")
     cells = next(csv.reader([text], skipinitialspace=True), [])
     return tuple(c.strip() for c in cells if c.strip())
 
@@ -112,41 +121,21 @@ def _format_names(names) -> str:
     )
 
 
-# (parse, format) pairs; floats are written with their shortest round-trip repr.
-_TEXT = (str.strip, str)
-_OPTIONAL_TEXT = (_optional(str.strip), _format_optional)
-_INT = (int, str)
-_OPTIONAL_INT = (_optional(int), _format_optional)
-_FLOAT = (float, repr)
-_BOOL = (_parse_bool, lambda value: str(value).lower())
-_NAMES = (_parse_names, _format_names)
+# The (parse, format) pair of each field type; floats are written as their shortest repr.
+_CODECS = {
+    str: (str.strip, str),
+    str | None: (_optional(str.strip), _format_optional),
+    int: (int, str),
+    int | None: (_optional(int), _format_optional),
+    float: (float, repr),
+    bool: (_parse_bool, lambda value: str(value).lower()),
+    tuple: (_parse_names, _format_names),
+}
 
-
-def _entry(section, key, codec, field=None):
-    """One schema row; the RunConfig field is named after the key unless given."""
-    return (section, key, field or key, *codec)
-
-
-# (section, key, RunConfig field, parse, format), in file order. [hyperparams]
-# keys are the model document's names of the Hyperparams fields.
-SCHEMA = (
-    _entry("run", "input_csv", _OPTIONAL_TEXT),
-    _entry("run", "label_column", _TEXT),
-    _entry("run", "drop_columns", _NAMES),
-    _entry("run", "seed", _INT),
-    _entry("run", "output_dir", _TEXT),
-    _entry("split", "train_fraction", _FLOAT),
-    _entry("split", "stratified", _BOOL),
-    *(
-        _entry("hyperparams", HYPERPARAM_KEYS[f.name], _INT if f.type is int else _FLOAT, f.name)
-        for f in fields(Hyperparams) if f.name in vars(FIELD) and f.name != FIELD.seed
-    ),
-    _entry("selection", "method", _TEXT),
-    _entry("selection", "k_for_filters", _INT),
-    _entry("selection", "max_candidates", _OPTIONAL_INT),
-    _entry("selection", "patience", _OPTIONAL_INT),
-    _entry("selection", "evaluation_scope", _TEXT),
-    _entry("explain", "rows", _TEXT, FIELD.explain_rows),
+# (section, key, RunConfig field, parse, format), in file order.
+SCHEMA = tuple(
+    (f.metadata["section"], f.metadata["key"] or f.name, f.name, *_CODECS[f.type])
+    for f in fields(RunConfig)
 )
 
 

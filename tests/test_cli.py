@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import os
+import re
 import shutil
 from dataclasses import replace
 from pathlib import Path
@@ -861,6 +862,24 @@ class TestMainEntry:
         assert key in json.loads(err)["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["train", "--bogus", "1"], "flowshap: unrecognized arguments: --bogus 1"),
+        ([], "flowshap: the following arguments are required: command"),
+        (["train", "--seed"], "flowshap train: argument --seed: expected one argument"),
+    ], ids=["unknown-flag", "no-command", "flag-without-value"])
+    def test_usage_error_is_one_json_line(self, capsys, argv, message):
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert json.loads(captured.err) == {"error": "ValueError", "message": message}
+
+    @pytest.mark.parametrize("argv", [["--help"], ["train", "--help"]])
+    def test_help_prints_usage_and_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: flowshap")
+
     def test_paper_faithful_flag(self, tmp_path):
         args = cli._build_parser().parse_args(["pipeline", "--paper-faithful"])
         cfg = cli.build_config(args)
@@ -904,6 +923,61 @@ class TestConfigSchema:
         ini = tmp_path / "conf.ini"
         write_config_file(RunConfig(), ini)
         assert "drop_columns = Flow ID, Src IP, Src Port, Dst IP, Dst Port, Timestamp\n" in ini.read_text()
+
+    EVERY_KEY = RunConfig(
+        input_csv="flows.csv", label_column="Activity", drop_columns=("Flow ID", "Fwd, Bwd", "Src IP"),
+        seed=42, output_dir="runs/a", train_fraction=0.7, stratified=False,
+        n_estimators=3, learning_rate=0.1, max_depth=4, min_child_weight=0.5, gamma=1e-05,
+        reg_lambda=2.0, reg_alpha=1 / 3, base_score=0.25, method="anova", k_for_filters=8,
+        max_candidates=20, patience=4, evaluation_scope="test", explain_rows="train",
+    )
+    EVERY_KEY_RECORD = (
+        "[run]", "input_csv = flows.csv", "label_column = Activity",
+        'drop_columns = Flow ID, "Fwd, Bwd", Src IP', "seed = 42", "output_dir = runs/a", "",
+        "[split]", "train_fraction = 0.7", "stratified = false", "",
+        "[hyperparams]", "n_estimators = 3", "learning_rate = 0.1", "max_depth = 4",
+        "min_child_weight = 0.5", "gamma = 1e-05", "lambda = 2.0", "alpha = 0.3333333333333333",
+        "base_score = 0.25", "",
+        "[selection]", "method = anova", "k_for_filters = 8", "max_candidates = 20", "patience = 4",
+        "evaluation_scope = test", "",
+        "[explain]", "rows = train", "", "",
+    )
+    DEFAULT_RECORD = (
+        "[run]", "input_csv = ", "label_column = Stage",
+        "drop_columns = Flow ID, Src IP, Src Port, Dst IP, Dst Port, Timestamp", "seed = 0",
+        "output_dir = out", "",
+        "[split]", "train_fraction = 0.8", "stratified = true", "",
+        "[hyperparams]", "n_estimators = 100", "learning_rate = 0.3", "max_depth = 6",
+        "min_child_weight = 1.0", "gamma = 0.0", "lambda = 1.0", "alpha = 0.0", "base_score = 0.5", "",
+        "[selection]", "method = shap", "k_for_filters = 12", "max_candidates = ", "patience = ",
+        "evaluation_scope = validation", "",
+        "[explain]", "rows = test", "", "",
+    )
+
+    @pytest.mark.parametrize("cfg, record", [(EVERY_KEY, EVERY_KEY_RECORD), (RunConfig(), DEFAULT_RECORD)])
+    def test_record_bytes_and_key_order(self, tmp_path, cfg, record):
+        # Every key in file order, floats as their shortest repr, unset keys empty.
+        ini = tmp_path / "conf.ini"
+        write_config_file(cfg, ini)
+        assert ini.read_bytes() == "\n".join(record).encode()
+        assert load_config_file(ini, whole=True) == cfg
+
+    def test_readme_config_block_lists_every_key_with_its_default(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        [block] = re.findall(r"```ini\n(.*?)```", readme, re.S)
+        ini = tmp_path / "readme.ini"
+        ini.write_text(block, encoding="utf-8")
+        assert load_config_file(ini, whole=True) == RunConfig(input_csv="flows.csv", seed=42)
+
+    def test_multi_line_names_are_one_error_naming_file_and_key(self, tmp_path, capsys):
+        ini = tmp_path / "conf.ini"
+        ini.write_text("[run]\ndrop_columns = Flow ID,\n Src IP\n")
+        assert cli.main(["prepare", "--config", str(ini)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        doc = json.loads(err)
+        assert doc["error"] == "ValueError"
+        assert doc["message"].startswith(f"{ini}: [run] drop_columns: ")
 
     def test_unknown_section_and_key_rejected(self, tmp_path):
         ini = tmp_path / "conf.ini"
