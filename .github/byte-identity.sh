@@ -37,6 +37,13 @@ pair() {
     done
 }
 
+# pinned CPUS NAME STAGE CONFIG: run this tree's STAGE, a flowshap command and its
+# flags, with the config CONFIG under `taskset -c CPUS`, into the directory NAME.
+pinned() {
+    rm -rf "$work/$2"
+    PYTHONPATH="$root/src" taskset -c "$1" python -m flowshap.cli $3 --config "$work/$4" --output-dir "$work/$2"
+}
+
 # kept FILE: the part of FILE that must match: a report without its `timing`
 # block of wall-clock seconds, or the config record without the line that
 # names its own directory.
@@ -79,9 +86,7 @@ compare validation-new validation-old "$pipeline effective_config.ini"
 pair test "$csv" "$capped\nevaluation_scope = test" 'pipeline --compare'
 compare test-new test-old "$pipeline effective_config.ini"
 # One CPU: select fits the filter methods in its own process rather than a forked child.
-rm -rf "$work/one-cpu-new"
-PYTHONPATH="$root/src" taskset -c 0 python -m flowshap.cli pipeline --compare --config "$work/validation-new.ini" \
-    --output-dir "$work/one-cpu-new"
+pinned 0 one-cpu-new 'pipeline --compare' validation-new.ini
 compare one-cpu-new validation-old "$pipeline"
 # With no explain stage before it, select computes the attributions itself.
 pair direct "$csv" "$capped\nevaluation_scope = validation" prepare train select
@@ -130,6 +135,11 @@ EOF_PY
 # About 300 dirty rows over about 118 parse chunks, split stratified (the default).
 pair prepare "$csv" '[split]\nstratified = true' prepare
 compare prepare-new prepare-old "$tables"
+# The same parse in one range and in two, whatever the runner's CPU count.
+pinned 0 prepare-one-cpu prepare prepare-new.ini
+compare prepare-one-cpu prepare-old "$tables"
+pinned 0,1 prepare-two-cpus prepare prepare-new.ini
+compare prepare-two-cpus prepare-old "$tables"
 # CRLF line ends.
 pair prepare-crlf "$work/crlf.csv" '[split]\nstratified = true' prepare
 compare prepare-crlf-new prepare-crlf-old "$tables"

@@ -3,8 +3,8 @@
 Every stage reads and writes files under the configured output directory,
 echoes the effective configuration, and is deterministic for a fixed seed
 (wall-clock timing fields aside). It deletes its report when it starts and ends
-in ``_finish``: the config record, then the report, each written whole. On two
-CPUs, ``select --compare`` fits the filter baselines in a forked child, same bytes.
+in ``_finish``: the config record, then the report, each written whole.
+``select --compare`` fits the filter baselines through ``ingest.forked``, same bytes.
 """
 
 import argparse
@@ -12,8 +12,8 @@ import csv
 import json
 import os
 import sys
-from contextlib import nullcontext
 from dataclasses import astuple, replace
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -221,10 +221,9 @@ def cmd_select(cfg: RunConfig, compare: bool = False) -> dict:
     methods, rows = SELECTION_METHODS if compare else (cfg.method,), []
     def run(method):
         return _run_method(cfg, method, out, train_t, test_t)
-    rest = methods[1:]  # under compare, the filter methods: they do not read shap's fit, so a child may make them
-    with ingest.forked(run, rest) if rest and ingest.schedulable_cpus() > 1 else nullcontext(map(run, rest)) as filtered:
-        for method in methods:
-            result = next(filtered) if method in rest else run(method)
+    # Under compare, methods[1:] are the filter methods: they do not read shap's fit, so a child may make them.
+    with ingest.forked(run, methods[1:]) as filtered:
+        for method, result in zip(methods, chain([run(methods[0])], filtered)):
             _write_json(selection.selection_to_dict(result), out / _selection_file(method))
             if result.fit is None:
                 doc, macro = {"note": "no features selected"}, metrics.Averages(0.0, 0.0, 0.0)

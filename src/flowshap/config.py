@@ -69,19 +69,14 @@ class RunConfig:
         self.split_spec()
         self.hyperparams()
 
+    def _spec(self, fraction: float, seed_offset: int) -> SplitSpec:
+        return SplitSpec(train_fraction=fraction, seed=self.seed + seed_offset, stratified=self.stratified)
+
     def split_spec(self) -> SplitSpec:
-        return SplitSpec(
-            train_fraction=self.train_fraction,
-            seed=self.seed + SEED_OFFSET_SPLIT,
-            stratified=self.stratified,
-        )
+        return self._spec(self.train_fraction, SEED_OFFSET_SPLIT)
 
     def carve_spec(self) -> SplitSpec:
-        return SplitSpec(
-            train_fraction=VALIDATION_CARVE_FRACTION,
-            seed=self.seed + SEED_OFFSET_CARVE,
-            stratified=self.stratified,
-        )
+        return self._spec(VALIDATION_CARVE_FRACTION, SEED_OFFSET_CARVE)
 
     def hyperparams(self) -> Hyperparams:
         tuned = {f.name: getattr(self, f.name) for f in fields(self) if f.metadata["section"] == "hyperparams"}

@@ -34,6 +34,8 @@ MODEL_FORMAT_VERSION = 1
 
 # Element budget (rows x features) of one block of split search temporaries.
 SPLIT_BLOCK_ELEMENTS = 2**14
+# Largest |margin| train lets a class's trees reach: float64 spacing there, 2**-28, keeps TreeSHAP additive to 1e-6.
+MARGIN_LIMIT = 2.0**24
 
 
 class ModelFormatError(ValueError):
@@ -279,7 +281,8 @@ def _grow_tree(XT, order, g, h, hp: Hyperparams):
         G, H = float(g[rows].sum()), float(h[rows].sum())
         node = [-1, 0.0, -1, -1, 0.0, H]
         nodes.append(node)
-        split = None if idx is None else _best_split(XT, idx, g, h, G, H, hp)
+        # A node with no hessian mass (every row's softmax saturated) is a leaf: TreeSHAP weighs children by it.
+        split = None if idx is None or H == 0 else _best_split(XT, idx, g, h, G, H, hp)
         if split is None:
             node[4] = fitted[rows] = _leaf_value(G, H, hp)
             continue
@@ -303,7 +306,8 @@ def train(train_table: FlowTable, hp: Hyperparams) -> TreeEnsemble:
     Gradients are refreshed once per round from the current margins; one
     (round, class) pair that admits no qualifying split still stores its
     single-leaf tree so the round-major/class-minor indexing stays dense.
-    A tree with a non-finite leaf value or cover raises ValueError.
+    A tree with a non-finite leaf value or cover raises ValueError, and so do
+    trees whose leaves could take a class's margin past ``MARGIN_LIMIT``.
     """
     X = train_table.features
     y = train_table.labels
@@ -319,6 +323,7 @@ def train(train_table: FlowTable, hp: Hyperparams) -> TreeEnsemble:
     order = np.argsort(XT, axis=1, kind="stable")  # the one sort of this call
     margins = np.full((n, K), hp.base_score, dtype=np.float64)
     trees: list[Tree] = []
+    reach = np.full(K, abs(hp.base_score))  # per class, |base_score| plus its trees' largest |leaf value|s
     for r in range(hp.n_estimators):
         g, h = (a.T.copy() for a in _grad_hess_matrix(margins, y, w))  # one row per class
         for k in range(K):
@@ -328,6 +333,10 @@ def train(train_table: FlowTable, hp: Hyperparams) -> TreeEnsemble:
                 i = bad[0]
                 raise ValueError(f"round {r}, class {k} ({train_table.class_names[k]}), node {i}: leaf value "
                                  f"{float(tree.value[i])}, cover {float(tree.cover[i])}; a model holds finite numbers only")
+            reach[k] += np.abs(tree.value).max()
+            if reach[k] > MARGIN_LIMIT:
+                raise ValueError(f"round {r}, class {k} ({train_table.class_names[k]}): margins could reach "
+                                 f"{reach[k]:.6g}, past {MARGIN_LIMIT:.0f}, where attributions cannot stay additive")
             split = tree.feature >= 0
             tree.feature[split] = feats[tree.feature[split]]
             trees.append(tree)
@@ -497,7 +506,7 @@ def deserialize(data: bytes) -> TreeEnsemble:
     if not isinstance(doc, dict):
         raise ModelFormatError("model document must be an object")
     version = doc.get("format_version")
-    if version != MODEL_FORMAT_VERSION:
+    if type(version) is not int or version != MODEL_FORMAT_VERSION:  # not true, nor 1.0
         raise ModelFormatError(
             f"unsupported format_version {version!r}; this build reads version {MODEL_FORMAT_VERSION}"
         )

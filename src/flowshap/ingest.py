@@ -181,11 +181,19 @@ def schedulable_cpus() -> int:
 
 
 @contextmanager
-def forked(func, *iterables):
-    """``map(func, *iterables)`` made in a forked child up to the first call that raises. Yields an iterator that
-    reads the results from a pipe at its first ``next`` and raises that exception in its place."""
+def forked(func, *sequences):
+    """``map(func, *sequences)``: lazily in this process with fewer than two schedulable CPUs or an empty sequence, else
+    made in a forked child up to the first call that raises and read from a pipe at the first ``next``, that exception
+    raised in its place (ChildProcessError if the child ends before sending). Serves prepare's ranges and select."""
+    if schedulable_cpus() < 2 or not all(sequences):
+        yield map(func, *sequences)
+        return
     def unpickled(pipe):
-        for item in pickle.load(pipe):
+        try:
+            results = pickle.load(pipe)
+        except (EOFError, pickle.UnpicklingError) as exc:
+            raise ChildProcessError(f"forked child {pid} ended before sending its results") from exc
+        for item in results:
             if isinstance(item, BaseException):
                 raise item
             yield item
@@ -194,7 +202,7 @@ def forked(func, *iterables):
         try:  # a child never returns into the caller, nor flushes its buffers
             results = []
             try:
-                for result in map(func, *iterables):
+                for result in map(func, *sequences):
                     results.append(result)
             except BaseException as exc:
                 results.append(exc)

@@ -6,7 +6,7 @@ it strictly improves macro F1 on the evaluation table. Filter scorers
 (correlation, chi-square, ANOVA F) rank features by a model-free statistic.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -59,7 +59,7 @@ def run_forward_pass(candidates, evaluate, max_candidates=None, patience=None):
     if not candidates:
         raise ValueError("empty candidate ranking")
     check_pass_limits(max_candidates, patience)
-    pool = list(candidates) if max_candidates is None else list(candidates)[:max_candidates]
+    pool = list(candidates)[:max_candidates]  # [:None] keeps every candidate
     f1_best = 0.0
     selected: list[str] = []
     trace: list[Trial] = []
@@ -149,12 +149,12 @@ def chi_square_scores(table: FlowTable) -> FilterScores:
 def anova_scores(table: FlowTable) -> FilterScores:
     """One-way F statistic: between-class over within-class mean squares."""
     labels = table.labels
-    present = [k for k in range(len(table.class_names)) if (labels == k).any()]
+    counts = np.bincount(labels, minlength=len(table.class_names))
+    present = np.flatnonzero(counts).tolist()
     if len(present) < 2:
         raise ValueError("ANOVA needs at least 2 classes present")
-    counts = {k: int((labels == k).sum()) for k in present}
-    for k, c in counts.items():
-        if c < 2:
+    for k in present:
+        if counts[k] < 2:
             raise ValueError(f"class {table.class_names[k]!r} has a single sample")
     X = table.features
     n = table.n_rows
@@ -193,10 +193,7 @@ def selection_to_dict(result: SelectionResult) -> dict:
     return {
         "method": result.method,
         "evaluation_scope": result.evaluation_scope,
-        "trace": [
-            {"feature": t.feature, "f1": t.f1, "accepted": t.accepted}
-            for t in result.trace
-        ],
+        "trace": [asdict(t) for t in result.trace],
         "selected": list(result.selected),
         "f1_best": result.f1_best,
     }

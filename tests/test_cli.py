@@ -7,6 +7,7 @@ import json
 import os
 import re
 import shutil
+import signal
 from dataclasses import replace
 from pathlib import Path
 
@@ -389,6 +390,23 @@ class TestForkedCompare:
         err, written = runs[2]
         assert json.loads(err) == {"error": "SchemaError", "message": "chi-square refused this table"}
         assert written == ["selection_correlation.json", "selection_shap.json"]
+
+    def test_a_child_that_dies_is_one_error_line(self, prepared, monkeypatch, capsys):
+        cfg, out, tmp_path = self.explained(prepared)
+        config = tmp_path / "run.ini"
+        write_config_file(cfg, config)
+        monkeypatch.setitem(fs.selection.FILTER_SCORERS, "chi_square",
+                            lambda table: os.kill(os.getpid(), signal.SIGKILL))  # in the child, which it kills
+        forks = self.cpus(monkeypatch, 2)
+        assert cli.main(["select", "--config", str(config), "--compare"]) == 1
+        assert len(forks) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        doc = json.loads(err)
+        assert doc["error"] == "ChildProcessError"
+        assert re.fullmatch(r"forked child \d+ ended before sending its results", doc["message"])
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_a_shap_error_leaves_no_child(self, prepared, monkeypatch):
         cfg, _, _ = self.explained(prepared)

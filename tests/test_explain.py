@@ -2,9 +2,12 @@
 
 import csv
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import flowshap as fs
 from flowshap import explain
@@ -13,7 +16,7 @@ from flowshap.gbt import Tree, TreeEnsemble
 
 from conftest import make_table, random_multiclass_table
 
-from test_gbt import stump_ensemble
+from test_gbt import REFUSED_FIT, stump_ensemble
 
 
 def leaf_tree(value, cover=4.0):
@@ -176,6 +179,48 @@ class TestTreeShap:
         margins = fs.predict_margins(ens, table.features)
         recon = shap.base_values[None, :] + shap.values.sum(axis=2)
         assert np.abs(recon - margins).max() <= 1e-6
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_degenerate_fits_are_finite_and_additive_or_refused(self, data):
+        # Two rows of each class and a few more, values in halves (heavy ties), a constant column,
+        # weights of 1 or 1e6, and the hyperparameters under which a hessian sum can vanish.
+        K = data.draw(st.integers(2, 3))
+        labels = [k for k in range(K) for _ in range(2)] + data.draw(st.lists(st.integers(0, K - 1), max_size=6))
+        n, m = len(labels), data.draw(st.integers(1, 3))
+        halves = st.integers(-2, 2).map(lambda v: v / 2)
+        X = np.array(data.draw(st.lists(st.lists(halves, min_size=m, max_size=m), min_size=n, max_size=n)))
+        X = np.insert(X, data.draw(st.integers(0, m)), data.draw(halves), axis=1)
+        weights = data.draw(st.lists(st.sampled_from([1.0, 1e6]), min_size=n, max_size=n))
+        hp = fs.Hyperparams(n_estimators=data.draw(st.integers(1, 12)), max_depth=data.draw(st.integers(1, 4)),
+                            learning_rate=data.draw(st.sampled_from([0.3, 1.0])),
+                            reg_lambda=data.draw(st.sampled_from([0.0, 1.0])),
+                            min_child_weight=data.draw(st.sampled_from([0.0, 1e-3, 1.0])))
+        table = make_table(X, labels, n_classes=K, weights=weights)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            try:
+                ens = fs.train(table, hp)
+            except ValueError as exc:
+                assert re.match(REFUSED_FIT, str(exc))
+                return
+        shap = fs.tree_shap(ens, table)
+        assert np.isfinite(shap.values).all() and np.isfinite(shap.base_values).all()
+        recon = shap.base_values[None, :] + shap.values.sum(axis=2)
+        assert np.abs(recon - fs.predict_margins(ens, table.features)).max() <= 1e-6
+
+    def test_a_node_without_hessian_mass_is_a_leaf(self):
+        # By round 9 every row's softmax is saturated and some nodes' hessian sums are exactly 0. Split,
+        # such a node leaves TreeSHAP no cover to weigh its children by ("zero cover at an averaged node").
+        X = np.array([[1.0], [1.0], [1.0], [-0.5], [-1.0], [0.5], [0.5], [0.0]])
+        table = make_table(X, [0, 1, 0, 1, 1, 0, 1, 1], weights=[1, 1e6, 1e6, 1e6, 1, 1e6, 1, 1e6])
+        hp = fs.Hyperparams(n_estimators=9, max_depth=1, learning_rate=1.0, reg_lambda=1.0, min_child_weight=0.0)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            ens = fs.train(table, hp)
+        assert any(tree.cover[0] == 0 for tree in ens.trees)
+        assert all((tree.cover[tree.feature >= 0] > 0).all() for tree in ens.trees)
+        shap = fs.tree_shap(ens, table)
+        recon = shap.base_values[None, :] + shap.values.sum(axis=2)
+        assert np.abs(recon - fs.predict_margins(ens, table.features)).max() <= 1e-6
 
     def test_repeated_feature_on_path(self):
         # deep trees over two features force the same feature to split

@@ -454,6 +454,9 @@ def extreme_weight_fit(rng):
 
 NON_FINITE_TREE = (r"^round \d+, class \d+ \(c\d\), node \d+: leaf value (-?inf|nan), cover \S+;"
                    r" a model holds finite numbers only$")
+MARGIN_PAST_LIMIT = (r"^round \d+, class \d+ \(c\d\): margins could reach \S+, past 16777216,"
+                     r" where attributions cannot stay additive$")
+REFUSED_FIT = f"{NON_FINITE_TREE}|{MARGIN_PAST_LIMIT}"
 
 
 class TestTrain:
@@ -668,6 +671,17 @@ class TestTrain:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"), pytest.raises(ValueError, match=message):
             fs.train(table, hp)
 
+    def test_margins_past_the_limit_are_refused(self):
+        # Round 7's trees for class 0 could take its margin to 7.6e12, where float64 spacing is 2**-10.
+        # Unrefused, the fit goes on to margins of 4.5e302, which its attributions miss by 0.002.
+        X = np.array([[0.0, 0.0]] * 8 + [[0.0, 0.5]])
+        table = make_table(X, [0, 0, 1, 1, 2, 2, 0, 0, 0], weights=[1, 1, 1, 1, 1, 1e6, 1e6, 1e6, 1])
+        hp = fs.Hyperparams(n_estimators=8, max_depth=1, learning_rate=1.0, reg_lambda=0.0, min_child_weight=0.0)
+        message = (r"^round 7, class 0 \(c0\): margins could reach 7\.61096e\+12, past 16777216,"
+                   r" where attributions cannot stay additive$")
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"), pytest.raises(ValueError, match=message):
+            fs.train(table, hp)
+
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     @example(179)  # a refused fit
@@ -679,7 +693,7 @@ class TestTrain:
                 ens = fs.train(table, hp)
             except ValueError as exc:
                 one_class = table.labels.min() == table.labels.max()
-                assert re.match("^training requires at least 2 classes present$" if one_class else NON_FINITE_TREE,
+                assert re.match("^training requires at least 2 classes present$" if one_class else REFUSED_FIT,
                                 str(exc))
                 return
         for tree in ens.trees:
@@ -864,11 +878,12 @@ class TestSerialization:
         X = np.random.default_rng(0).normal(scale=3, size=(1000, 2))
         assert np.array_equal(fs.predict_margins(ens, X), fs.predict_margins(back, X))
 
-    def test_unknown_version(self):
+    @pytest.mark.parametrize("version", [99, True, 1.0], ids=["99", "true", "1.0"])
+    def test_unknown_version(self, version):  # the JSON integer 1 only, as every other integer field
         ens = stump_ensemble()
         doc = json.loads(fs.serialize(ens))
-        doc["format_version"] = 99
-        with pytest.raises(fs.ModelFormatError, match="format_version"):
+        doc["format_version"] = version
+        with pytest.raises(fs.ModelFormatError, match=f"^unsupported format_version {version!r};"):
             fs.deserialize(json.dumps(doc).encode())
 
     def test_hand_written_stump_document(self):

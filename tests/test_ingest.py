@@ -4,6 +4,8 @@ import csv
 import hashlib
 import math
 import os
+import pickle
+import signal
 import tracemalloc
 
 import numpy as np
@@ -462,6 +464,72 @@ class TestRangedParse:
         monkeypatch.setattr(fs.ingest, "_parse_column", interrupted)
         with pytest.raises(KeyboardInterrupt):
             self.ranged(monkeypatch, path, 2)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
+class TestForked:
+    """``forked`` makes a second lane only on two or more CPUs and a nonempty sequence; else it is ``map``."""
+
+    @staticmethod
+    def cpus(monkeypatch, count):
+        """Make ``count`` CPUs schedulable and return the pids of the children forked from here on."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+        children, fork = [], os.fork
+
+        def recorded():
+            if pid := fork():
+                children.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", recorded)
+        return children
+
+    def test_one_cpu_maps_lazily_in_this_process(self, monkeypatch):
+        children, calls = self.cpus(monkeypatch, 1), []
+
+        def tenfold(x):
+            calls.append(x)
+            if x == 2:
+                raise KeyError(x)
+            return 10 * x
+
+        with fs.ingest.forked(tenfold, [0, 1, 2, 3]) as results:
+            assert calls == []
+            assert (next(results), calls) == (0, [0])
+            assert (next(results), calls) == (10, [0, 1])
+            with pytest.raises(KeyError):
+                next(results)
+        assert calls == [0, 1, 2]
+        assert children == []
+
+    def test_two_cpus_and_an_empty_sequence_do_not_fork(self, monkeypatch):
+        children = self.cpus(monkeypatch, 2)
+        with fs.ingest.forked(pow, [], [1, 2]) as results:
+            assert list(results) == []
+        assert children == []
+
+    def test_two_cpus_fork_once_and_give_map_s_results(self, monkeypatch):
+        children, calls = self.cpus(monkeypatch, 2), []
+        with fs.ingest.forked(lambda x, y: calls.append(x) or x ** y, [2, 3, 5], [3, 2, 1]) as results:
+            assert list(results) == [8, 9, 5]
+        assert len(children) == 1
+        assert calls == []  # made in the child
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("end", [
+        lambda x: os.kill(os.getpid(), signal.SIGKILL),
+        lambda x: os._exit(3),
+        lambda x: [os.urandom(1 << 17), lambda: x],  # pickled in part, then refused
+    ], ids=["killed", "exit-3", "unpicklable-result"])
+    def test_a_child_that_ends_before_sending_is_one_error(self, monkeypatch, end):
+        children = self.cpus(monkeypatch, 2)
+        with pytest.raises(ChildProcessError) as error:
+            with fs.ingest.forked(end, [1]) as results:
+                next(results)
+        assert str(error.value) == f"forked child {children[0]} ended before sending its results"
+        assert isinstance(error.value.__cause__, (EOFError, pickle.UnpicklingError))
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
